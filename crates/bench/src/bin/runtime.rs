@@ -15,7 +15,7 @@
 //! The decisions grid drives one `AlertController` through a decide →
 //! observe loop and, for **every** decision, replays the reference full
 //! enumeration at the same belief and asserts the two selections are
-//! bit-identical — the cached-vs-enumerated guard CI relies on. The
+//! bit-identical — the fast-lane-vs-enumerated guard CI relies on. The
 //! verification pass walks the *identical* warmup + measurement
 //! trajectory the timing pass then re-walks unasserted (the controller
 //! is deterministic), so the assertion covers every timed decision
@@ -108,22 +108,18 @@ fn measure(sessions: usize, workers: usize, n_inputs: usize, seed: u64) -> Measu
 struct DecisionMeasurement {
     env: &'static str,
     candidates: usize,
-    live_after_pruning: usize,
     warmup: usize,
     decisions: usize,
     decision_us_fast: f64,
     decision_us_full: f64,
     speedup: f64,
-    cache_hits: u64,
-    cache_misses: u64,
     verified_identical: usize,
 }
 
 /// The belief-driving observation for step `i`: `stable` replays the
 /// profile exactly (the environment the paper calls quiescent — the
-/// Kalman state converges and the decision cache takes over); `drift`
-/// perturbs every observation so the belief moves on every input and the
-/// cache never hits (measuring the pruned SoA enumeration itself).
+/// Kalman state converges); `drift` perturbs every observation so the
+/// belief moves on every input.
 fn observation_for(env: &str, i: usize, profile: Seconds, cap: Watts) -> Observation {
     let factor = if env == "stable" {
         1.0
@@ -143,7 +139,7 @@ fn observation_for(env: &str, i: usize, profile: Seconds, cap: Watts) -> Observa
 /// observation phase `start`, returning the total fast-lane decision
 /// time; when `verify` is set, every decision is replayed through the
 /// reference full enumeration and asserted bit-identical (the
-/// cached-vs-enumerated guard).
+/// fast-lane-vs-enumerated guard).
 fn drive_decisions(
     controller: &mut AlertController,
     goal: &Goal,
@@ -188,7 +184,7 @@ fn drive_decisions(
 }
 
 /// The `bench decisions` grid: per-decision scheduler cost of the fast
-/// lane (SoA + pruning + belief-banded cache) against the reference full
+/// lane (SoA + stage-probability memo) against the reference full
 /// enumeration, on the CPU1 × image-family candidate table.
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
@@ -219,20 +215,15 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
         // window continuing at phase `warmup`.
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
         let _ = drive_decisions(&mut ctl, &goal, env, 0, warmup, false);
-        let stats_before = ctl.cache_stats();
         let (fast_s, full_s, _) = drive_decisions(&mut ctl, &goal, env, warmup, n_decisions, false);
-        let stats = ctl.cache_stats();
         out.push(DecisionMeasurement {
             env,
             candidates: ctl.lane().candidate_count(),
-            live_after_pruning: ctl.lane().live_count(),
             warmup,
             decisions: n_decisions,
             decision_us_fast: fast_s / n_decisions as f64 * 1e6,
             decision_us_full: full_s / n_decisions as f64 * 1e6,
             speedup: full_s / fast_s,
-            cache_hits: stats.hits - stats_before.hits,
-            cache_misses: stats.misses - stats_before.misses,
             verified_identical: verified,
         });
     }
@@ -380,9 +371,6 @@ struct TelemetryMeasurement {
     /// instrumented / baseline decision overhead (CPU time, not wall).
     overhead_ratio: f64,
     decisions: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_hit_rate: f64,
     deadline_misses: u64,
     flight_recording_cost_s: f64,
     records_identical: bool,
@@ -488,8 +476,6 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
     );
 
     let registry = collector.registry();
-    let hits = registry.counter("cache_hits", Scope::Global);
-    let misses = registry.counter("cache_misses", Scope::Global);
     let decisions = registry.counter("decisions", Scope::Global);
     let m = TelemetryMeasurement {
         sessions,
@@ -501,9 +487,6 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
         instrumented_overhead_us: instrumented_overhead / inputs_total as f64 * 1e6,
         overhead_ratio,
         decisions,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         deadline_misses: registry.counter("deadline_misses", Scope::Global),
         flight_recording_cost_s: recorder.recording_cost().get(),
         records_identical: true,
@@ -585,7 +568,7 @@ fn main() {
     // every selection verified bit-identical between the two paths.
     banner(
         "Decision fast lane",
-        "Per-decision scheduler cost: SoA+pruning+cache vs full enumeration (selections verified identical)",
+        "Per-decision scheduler cost: SoA+memo vs full enumeration (selections verified identical)",
     );
     csv_header(&[
         "env",
@@ -593,8 +576,6 @@ fn main() {
         "decision_us_fast",
         "decision_us_full",
         "speedup",
-        "cache_hits",
-        "cache_misses",
     ]);
     let decision_grid = bench_decisions((n_inputs * 4).clamp(400, 4000));
     let mut decision_results = Vec::new();
@@ -605,20 +586,15 @@ fn main() {
             f(m.decision_us_fast, 3),
             f(m.decision_us_full, 3),
             f(m.speedup, 2),
-            m.cache_hits.to_string(),
-            m.cache_misses.to_string(),
         ]);
         decision_results.push(serde_json::json!({
             "env": m.env,
             "candidates": m.candidates,
-            "live_after_pruning": m.live_after_pruning,
             "warmup": m.warmup,
             "decisions": m.decisions,
             "decision_overhead_us_mean": m.decision_us_fast,
             "decision_overhead_us_mean_full_enum": m.decision_us_full,
             "speedup": m.speedup,
-            "cache_hits": m.cache_hits,
-            "cache_misses": m.cache_misses,
             "verified_identical": m.verified_identical,
         }));
     }
@@ -661,7 +637,6 @@ fn main() {
         "no_sink_full_ips",
         "instrumented_ips",
         "overhead_ratio",
-        "cache_hit_rate",
         "deadline_misses",
     ]);
     csv_row(&[
@@ -669,7 +644,6 @@ fn main() {
         f(tm.no_sink_full_inputs_per_sec, 0),
         f(tm.instrumented_inputs_per_sec, 0),
         f(tm.overhead_ratio, 3),
-        f(tm.cache_hit_rate, 4),
         tm.deadline_misses.to_string(),
     ]);
     println!(
@@ -699,9 +673,6 @@ fn main() {
             "instrumented_overhead_us": tm.instrumented_overhead_us,
             "overhead_ratio": tm.overhead_ratio,
             "decisions": tm.decisions,
-            "cache_hits": tm.cache_hits,
-            "cache_misses": tm.cache_misses,
-            "cache_hit_rate": tm.cache_hit_rate,
             "deadline_misses": tm.deadline_misses,
             "flight_recording_cost_s": tm.flight_recording_cost_s,
             "records_identical": tm.records_identical,

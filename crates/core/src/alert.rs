@@ -16,7 +16,7 @@
 use crate::config::{Candidate, ConfigTable};
 use crate::goal::{Goal, GoalAdjuster};
 use crate::idle::IdleRatioEstimator;
-use crate::lane::{BeliefBand, CacheStats, CandidateLane, DecisionCache, DecisionKey, LaneScratch};
+use crate::lane::{CandidateLane, LaneScratch};
 use crate::select::{Estimates, Selection};
 use crate::slowdown::SlowdownEstimator;
 use alert_stats::cputime::DecisionStopwatch;
@@ -71,9 +71,10 @@ impl DecisionClock {
         }
     }
 
-    /// Elapsed decision cost. Floored at 1 ns: a cache-hit decision can
-    /// finish between two ticks of the CPU clock, and downstream
-    /// accounting treats a zero cost as "no decision happened".
+    /// Elapsed decision cost. Floored at 1 ns: a decision over a small
+    /// table can finish between two ticks of a coarse CPU clock, and
+    /// downstream accounting treats a zero cost as "no decision
+    /// happened".
     fn elapsed(&self) -> Seconds {
         Seconds(self.inner.elapsed().as_secs_f64().max(1e-9))
     }
@@ -161,13 +162,16 @@ pub struct ControllerSnapshot {
 ///
 /// This is what the telemetry layer's decision events and the flight
 /// recorder are built from: the belief the controller held, the lane it
-/// searched (or the cache entry it replayed), what it picked and what
-/// it predicted. Like the decision cache, it is *not* learned state —
-/// snapshots do not carry it, and restore/reset clear it.
+/// searched, what it picked and what it predicted. It is *not* learned
+/// state — snapshots do not carry it, and restore/reset clear it — but
+/// every field except `cost` is a pure function of the learned state and
+/// the goal, so a restored controller traces exactly what the original
+/// would have.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTrace {
-    /// `true` when the decision was replayed from the belief-banded
-    /// cache instead of a fresh lane search.
+    /// Always `false`: every decision is a fresh lane search. Kept so
+    /// existing consumers of the trace (the `perfbench` layer counters)
+    /// still compile and read a zero hit count.
     pub cache_hit: bool,
     /// ξ belief mean at decision time.
     pub belief_mean: f64,
@@ -178,10 +182,8 @@ pub struct DecisionTrace {
     /// The deadline actually decided against (after goal adjustment:
     /// group budget, overhead reserve).
     pub effective_deadline: Seconds,
-    /// Total execution targets in the candidate lane.
+    /// Total execution targets in the candidate lane (all scored).
     pub candidates: usize,
-    /// Targets surviving static pruning (the ones actually scored).
-    pub live: usize,
     /// The chosen execution target.
     pub selected: Candidate,
     /// The winner's estimates at selection time (predicted latency,
@@ -197,13 +199,11 @@ pub struct DecisionTrace {
 #[derive(Debug, Clone)]
 pub struct AlertController {
     table: ConfigTable,
-    /// The selection fast lane (SoA + pruning), built once from `table`.
+    /// The selection fast lane (SoA + probability memo), built once from
+    /// `table`.
     lane: CandidateLane,
     /// Reusable per-decision scratch (probability memo, quality buffer).
     scratch: LaneScratch,
-    /// Belief-banded decision memo. *Not* learned state: snapshots do not
-    /// carry it, restore/reset rebuild it cold (see `ControllerSnapshot`).
-    cache: DecisionCache,
     params: AlertParams,
     xi: SlowdownEstimator,
     idle: IdleRatioEstimator,
@@ -248,7 +248,6 @@ impl AlertController {
             table,
             lane,
             scratch,
-            cache: DecisionCache::new(),
             xi: SlowdownEstimator::with_params(params.kalman)?,
             idle: IdleRatioEstimator::new(params.initial_idle_ratio),
             adjuster,
@@ -260,11 +259,9 @@ impl AlertController {
     }
 
     /// Announces a group (sentence) of `members` inputs sharing
-    /// `deadline` of total budget (paper §3.2 step 2). Invalidates the
-    /// decision cache: group membership reshapes effective deadlines.
+    /// `deadline` of total budget (paper §3.2 step 2).
     pub fn begin_group(&mut self, deadline: Seconds, members: usize) {
         self.adjuster.begin_group(deadline, members);
-        self.cache.invalidate();
     }
 
     /// Steps 2–4: picks the execution target for the next input, using the
@@ -294,25 +291,14 @@ impl AlertController {
         let adjusted = goal.with_deadline(effective);
         let xi = self.xi.distribution();
         let idle_ratio = self.idle.ratio();
-        let band = BeliefBand::quantize(xi.mean(), xi.std_dev(), idle_ratio, effective);
-        let key = DecisionKey::capture(&xi, idle_ratio, &adjusted, period, self.params.mode);
-        let (sel, cache_hit) = match self.cache.lookup(band, &key) {
-            // Selection is a pure function of the key; an exact
-            // revalidation inside the band replays it verbatim.
-            Some(sel) => (sel, true),
-            None => {
-                let sel = self.lane.select_with_period(
-                    &mut self.scratch,
-                    &xi,
-                    idle_ratio,
-                    &adjusted,
-                    period,
-                    self.params.mode,
-                )?;
-                self.cache.store(band, key, sel);
-                (sel, false)
-            }
-        };
+        let sel = self.lane.select_with_period(
+            &mut self.scratch,
+            &xi,
+            idle_ratio,
+            &adjusted,
+            period,
+            self.params.mode,
+        )?;
         let cost = clock.elapsed();
         self.last_decision_cost = cost;
         if matches!(self.params.overhead, OverheadPolicy::Measured) {
@@ -322,13 +308,12 @@ impl AlertController {
         // Recorded after the selection is final: the trace is pure
         // observability, nothing on the decision path reads it.
         self.last_trace = Some(DecisionTrace {
-            cache_hit,
+            cache_hit: false,
             belief_mean: xi.mean(),
             belief_std: xi.std_dev(),
             idle_ratio,
             effective_deadline: effective,
             candidates: self.lane.candidate_count(),
-            live: self.lane.live_count(),
             selected: sel.candidate,
             estimates: sel.estimates,
             feasible: sel.feasible,
@@ -361,14 +346,9 @@ impl AlertController {
         self.idle.ratio()
     }
 
-    /// The selection fast lane (diagnostics: candidate/pruning counts).
+    /// The selection fast lane (diagnostics: candidate counts).
     pub fn lane(&self) -> &CandidateLane {
         &self.lane
-    }
-
-    /// Decision-cache effectiveness counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Cost of the most recent decision, metered on the thread-CPU clock
@@ -409,16 +389,13 @@ impl AlertController {
     /// Restores estimator state from a snapshot. The candidate table and
     /// parameters are untouched: a snapshot only carries *learned* state,
     /// so it can be applied to a freshly built controller of the same
-    /// policy (the migration path). The decision cache is a pure memo
-    /// over that state — it is not carried, just invalidated and rebuilt
-    /// on the next decision (a cold cache cannot change any selection).
+    /// policy (the migration path).
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) {
         self.xi = snapshot.xi.clone();
         self.idle = snapshot.idle.clone();
         self.adjuster = snapshot.adjuster.clone();
         self.decisions = snapshot.decisions;
         self.last_decision_cost = snapshot.last_decision_cost;
-        self.cache.invalidate();
         self.last_trace = None;
     }
 
@@ -432,7 +409,6 @@ impl AlertController {
         }
         self.decisions = 0;
         self.last_decision_cost = Seconds::ZERO;
-        self.cache.invalidate();
         self.last_trace = None;
     }
 }
@@ -654,10 +630,25 @@ mod tests {
         assert_eq!(restored.slowdown().mean(), ctl.slowdown().mean());
         assert_eq!(restored.idle_ratio(), ctl.idle_ratio());
         assert_eq!(restored.decisions(), ctl.decisions());
-        let a = ctl.decide(&goal).unwrap();
-        let b = restored.decide(&goal).unwrap();
-        assert_eq!(a.candidate, b.candidate);
-        assert_eq!(a.deadline, b.deadline);
+        // Decide twice at the unchanged belief. Traces are a pure
+        // function of learned state, so the restored controller's record
+        // matches the continuous one's in everything but the metered
+        // cost — on the first decision after the cut as on the second.
+        for _ in 0..2 {
+            let a = ctl.decide(&goal).unwrap();
+            let b = restored.decide(&goal).unwrap();
+            assert_eq!(a.candidate, b.candidate);
+            assert_eq!(a.deadline, b.deadline);
+            let continuous = ctl.last_trace().expect("decided");
+            let resumed = restored.last_trace().expect("decided");
+            assert_eq!(
+                DecisionTrace {
+                    cost: continuous.cost,
+                    ..resumed
+                },
+                continuous
+            );
+        }
     }
 
     #[test]
@@ -667,20 +658,12 @@ mod tests {
         let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
         let sel = ctl.decide(&goal).unwrap();
         let trace = ctl.last_trace().expect("decision leaves a trace");
-        assert!(!trace.cache_hit, "first decision cannot hit the cache");
         assert_eq!(trace.selected, sel.candidate);
         assert_eq!(trace.estimates, sel.estimates);
         assert_eq!(trace.feasible, sel.feasible);
         assert_eq!(trace.candidates, ctl.lane().candidate_count());
-        assert_eq!(trace.live, ctl.lane().live_count());
         assert_eq!(trace.belief_mean, ctl.slowdown().mean());
         assert!(trace.cost.get() > 0.0);
-        // A repeat under the same belief replays from the cache, and the
-        // trace says so.
-        let again = ctl.decide(&goal).unwrap();
-        let trace2 = ctl.last_trace().unwrap();
-        assert!(trace2.cache_hit);
-        assert_eq!(again.candidate, sel.candidate);
         // Reset and restore both clear the trace.
         ctl.reset();
         assert!(ctl.last_trace().is_none());

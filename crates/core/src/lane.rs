@@ -1,72 +1,41 @@
-//! The selection fast lane: SoA candidate precomputation, dominated-
-//! candidate pruning, and the belief-banded decision cache.
+//! The selection fast lane: structure-of-arrays candidate precomputation
+//! with a per-decision stage-probability memo.
 //!
 //! ALERT re-enumerates every `(device, model, stage, power)` execution
 //! target per input (§3.2 step 4, with the device axis collapsing on
 //! single-platform tables), and in this runtime that enumeration *is* the
 //! throughput ceiling — the per-decision cost is almost entirely CDF and
-//! inverse-CDF evaluations plus table chasing. This module rebuilds the
-//! hot path in three stages, each **provably selection-identical** to the
-//! reference enumeration in [`crate::select::select_with_period`]:
+//! inverse-CDF evaluations plus table chasing. [`CandidateLane`] rebuilds
+//! that hot path **selection-identically** to the reference enumeration
+//! in [`crate::select::select_with_period`]:
 //!
-//! 1. **Static precomputation** ([`CandidateLane`]) — per-candidate
-//!    profile terms (`t^prof` stage latencies, run power, cap, staircase,
-//!    quality guard) are flattened at construction into a cache-friendly
-//!    structure-of-arrays, so a decision does no nested-`Vec` chasing.
-//!    Stage-completion probabilities are *memoized per decision* across
-//!    sibling candidates (the stage-`k` target probability of `(i, k, j)`
-//!    is the same number as stage `k` of `(i, k+1, j)`'s staircase), and
-//!    the `Φ⁻¹(Pr_th)` of the Eq. 12 energy bound — constant across
-//!    candidates — is hoisted out of the loop
-//!    ([`crate::latency::percentile_latency_with_z`]). Every reused value
-//!    is produced by the *same* floating-point expression as the
-//!    reference path, so sharing cannot change a bit.
-//! 2. **Dominated-candidate pruning** — at build, candidates that can
-//!    never win *any* of the three §4 competitions under *any* belief ξ,
-//!    idle ratio φ ∈ [0, 1], period, or goal of the active family are
-//!    dropped: the **saturation duplicates** real profiling tables carry
-//!    (discrete GPU clock levels, power-starved plateaus — extra cap
-//!    that buys no latency). A candidate `c` is pruned only when an
-//!    earlier-enumerated `d` has a *bit-identical* latency chain (same
-//!    staircase with bit-equal full-network latency, or an identical
-//!    traditional model with bit-equal stage latency) and weakly lower
-//!    run power *and* cap. Every latency-driven estimate is then
-//!    bit-equal between the two — ties resolve to the earlier `d` — and
-//!    the energies are round-monotone in `(p_run, cap)`, so even the
-//!    *computed* f64 estimates of `d` tie-or-beat `c` in all three
-//!    competitions and the winner (and its recorded [`Estimates`]) is
-//!    unchanged (see [`dominates`] and DESIGN.md §6 for why anything
-//!    weaker is unsound at the bit level). The 2-D Pareto frontier from
-//!    [`alert_stats::hull`] over (latency, run energy) shortlists the
-//!    group members that can possibly be dominated. The filter is only
-//!    *applied* when the decision inputs are inside the proven envelope
-//!    (`ξ̄ ≥ 0`, `φ ∈ [0, 1]`, `Pr_th ≥ ½`, so every exec-time
-//!    multiplier is non-negative); otherwise the lane quietly evaluates
-//!    the full set.
-//! 3. **Belief-banded decision cache** ([`DecisionCache`]) — the decision
-//!    inputs (ξ mean, ξ std, idle ratio, effective deadline, period,
-//!    goal, mode) are quantized into a [`BeliefBand`]; while consecutive
-//!    decisions stay inside the band that produced the last selection
-//!    *and* the inputs revalidate exactly, enumeration is skipped and the
-//!    cached [`Selection`] is returned. Selection is a pure function of
-//!    those inputs, so an exact-revalidation hit **cannot** diverge from
-//!    enumeration — the band is the invalidation granularity (band exit
-//!    evicts), not a tolerance for reuse. Goal changes, `begin_group`,
-//!    `restore`, and `reset` invalidate eagerly.
+//! * per-candidate profile terms (`t^prof` stage latencies, run power,
+//!   cap, staircase, quality guard) are flattened at construction into a
+//!   cache-friendly structure-of-arrays, so a decision does no
+//!   nested-`Vec` chasing;
+//! * stage-completion probabilities are *memoized per decision* across
+//!   sibling candidates (the stage-`k` target probability of `(i, k, j)`
+//!   is the same number as stage `k` of `(i, k+1, j)`'s staircase);
+//! * the `Φ⁻¹(Pr_th)` of the Eq. 12 energy bound — constant across
+//!   candidates — is hoisted out of the loop
+//!   ([`crate::latency::percentile_latency_with_z`]).
 //!
-//! `tests/fast_lane.rs` proves bit-identity of the whole lane against the
-//! reference enumeration over randomized tables, beliefs, goals, group
-//! boundaries, and snapshot/restore cuts; the `runtime` benchmark
-//! re-asserts cached-vs-enumerated equality on every run.
+//! Every candidate is scored, in enumeration order, through the
+//! same `SelectionAccumulator`, and every reused value is produced by
+//! the *same* floating-point expression as the reference path, so
+//! sharing cannot change a bit. `tests/fast_lane.rs` proves bit-identity
+//! of the lane and the controller against the reference enumeration over
+//! randomized tables, beliefs, goals, group boundaries, and
+//! snapshot/restore cuts; the `runtime` benchmark re-asserts it on every
+//! run.
 
 use crate::alert::ProbabilityMode;
 use crate::config::{Candidate, ConfigTable, StagePoint};
-use crate::goal::{Goal, Objective};
+use crate::goal::Goal;
 use crate::select::{
     Estimates, SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
 };
 use crate::Selection;
-use alert_stats::hull::{pareto_frontier, Point2};
 use alert_stats::normal::{inv_phi, Normal};
 use alert_stats::units::{Seconds, Watts};
 
@@ -80,8 +49,6 @@ struct LaneEntry {
     cap: Watts,
     is_anytime: bool,
     fail_quality: f64,
-    /// Final-output quality (dominance comparability check).
-    top_quality: f64,
     /// Precomputed [`QUALITY_GUARD_FRACTION`] span margin.
     guard: f64,
     /// First probability-memo slot of this candidate's `(model, power)`
@@ -96,8 +63,6 @@ struct LaneEntry {
 pub struct CandidateLane {
     /// Every execution target, in exact table-enumeration order.
     entries: Vec<LaneEntry>,
-    /// Indices into `entries` that survived dominance pruning, ascending.
-    live: Vec<u32>,
     /// Stage-latency arena: per `(model, power)` block, the profiled
     /// completion time of every staircase stage (`t^prof_{i,j} · frac_s`,
     /// the exact product the reference path computes).
@@ -132,7 +97,7 @@ impl LaneScratch {
 }
 
 impl CandidateLane {
-    /// Flattens and prunes a candidate table.
+    /// Flattens a candidate table.
     pub fn build(table: &ConfigTable) -> Self {
         let models = table.models();
 
@@ -161,7 +126,6 @@ impl CandidateLane {
         // Entries in exact enumeration order (device → model → stage →
         // power).
         let mut entries = Vec::with_capacity(table.candidate_count());
-        let mut t_full_of = Vec::with_capacity(table.candidate_count());
         for c in table.candidates() {
             let m = &models[c.model];
             let base = slot_base[c.device][c.model][c.power];
@@ -172,43 +136,36 @@ impl CandidateLane {
                 cap: table.cap_on(c.device, c.power),
                 is_anytime: m.is_anytime(),
                 fail_quality: m.fail_quality,
-                top_quality: m.final_quality(),
                 guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
                 slot_base: base,
             });
-            t_full_of.push(table.t_prof_on(c.device, c.model, c.power));
         }
 
-        let live = prune(&entries, &t_full_of);
         let max_stages = models.iter().map(|m| m.stages.len()).max().unwrap_or(1);
         CandidateLane {
             entries,
-            live,
             stage_lat,
             stage_points,
             max_stages,
         }
     }
 
-    /// Total execution targets (pruned or not).
+    /// Total execution targets.
     pub fn candidate_count(&self) -> usize {
         self.entries.len()
     }
 
-    /// Targets that survived dominance pruning.
+    /// Targets scored per decision: every one of them, so this equals
+    /// [`Self::candidate_count`]. Kept for callers that report the
+    /// scored share.
     pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Targets dropped as dominated.
-    pub fn pruned_count(&self) -> usize {
-        self.entries.len() - self.live.len()
+        self.candidate_count()
     }
 
     /// Fast-lane counterpart of [`crate::select::select_with_period`]:
     /// same inputs, same output, bit for bit — enumeration runs over the
-    /// pruned set (when the inputs are inside the pruning envelope) with
-    /// memoized stage probabilities and a hoisted `Φ⁻¹`.
+    /// flattened entries with memoized stage probabilities and a hoisted
+    /// `Φ⁻¹`.
     ///
     /// # Errors
     ///
@@ -224,20 +181,6 @@ impl CandidateLane {
         mode: ProbabilityMode,
     ) -> Result<Selection, String> {
         goal.validate().map_err(|e| format!("invalid goal: {e}"))?;
-
-        // The dominance argument assumes non-negative effective latency
-        // multipliers (ξ̄ ≥ 0 and, for the Eq. 12 bound, Φ⁻¹(Pr_th) ≥ 0)
-        // and a physical idle ratio/period. Outside that envelope —
-        // never reached by the estimators, but reachable through
-        // hand-built snapshots — fall back to the full set.
-        let pruning_sound = xi.mean() >= 0.0
-            && (0.0..=1.0).contains(&idle_ratio)
-            && period.is_finite()
-            && period.get() >= 0.0
-            && (mode == ProbabilityMode::MeanOnly
-                // lint:allow(nan-unsafe-compare): exact zero-variance sentinel; a NaN std_dev fails the comparison and falls through to the sound full-set path
-                || xi.std_dev() == 0.0
-                || goal.prob_threshold.is_none_or(|p| p >= 0.5));
 
         // Hoist the Eq. 12 standard-normal quantile: constant across
         // candidates within one decision.
@@ -257,7 +200,7 @@ impl CandidateLane {
         } = scratch;
 
         let mut acc = SelectionAccumulator::new();
-        let mut offer = |e: &LaneEntry| {
+        for e in &self.entries {
             let est = self.evaluate_entry(
                 e,
                 probs,
@@ -272,15 +215,6 @@ impl CandidateLane {
                 z_bound,
             );
             acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
-        };
-        if pruning_sound {
-            for &k in &self.live {
-                offer(&self.entries[k as usize]);
-            }
-        } else {
-            for e in &self.entries {
-                offer(e);
-            }
         }
         acc.finish(goal)
     }
@@ -392,296 +326,6 @@ fn slot_prob(
     probs[slot]
 }
 
-/// The dominance filter. Returns the surviving entry indices, ascending.
-///
-/// A candidate is checked only against earlier *survivors* (the dominance
-/// relation is transitive, so this loses nothing), and the per-(model,
-/// stage) 2-D Pareto frontier over `(t_stage, p_run·t_stage)` shortlists
-/// the members that can possibly be group-dominated: frontier members
-/// have no weak dominator in those two axes, which the full condition
-/// requires.
-fn prune(entries: &[LaneEntry], t_full_of: &[Seconds]) -> Vec<u32> {
-    // Group candidates by (device, model, stage) and mark off-frontier
-    // members. The device belongs in the key: dominance only compares
-    // within one device's latency chain, so a GPU clock level can never
-    // prune a CPU cap (their profiled latencies come from different
-    // grids and the realized environments differ per device).
-    let mut group_prunable = vec![false; entries.len()];
-    let mut groups: std::collections::BTreeMap<(usize, usize, usize), Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (idx, e) in entries.iter().enumerate() {
-        groups
-            .entry((e.cand.device, e.cand.model, e.cand.stage))
-            .or_default()
-            .push(idx);
-    }
-    for members in groups.values() {
-        if members.len() < 2 {
-            continue;
-        }
-        let pts: Vec<Point2> = members
-            .iter()
-            .map(|&idx| {
-                let e = &entries[idx];
-                Point2::new(e.t_stage.get(), e.p_run.get() * e.t_stage.get(), idx)
-            })
-            .collect();
-        let frontier: std::collections::BTreeSet<usize> =
-            pareto_frontier(&pts).iter().map(|p| p.idx).collect();
-        for &idx in members {
-            if !frontier.contains(&idx) {
-                group_prunable[idx] = true;
-            }
-        }
-    }
-
-    let mut live: Vec<u32> = Vec::with_capacity(entries.len());
-    for (idx, c) in entries.iter().enumerate() {
-        let dominated = live.iter().any(|&d_idx| {
-            dominates(
-                &entries[d_idx as usize],
-                c,
-                t_full_of[d_idx as usize],
-                t_full_of[idx],
-                group_prunable[idx],
-            )
-        });
-        if !dominated {
-            live.push(idx as u32);
-        }
-    }
-    live
-}
-
-/// Whether earlier-enumerated `d` dominates `c` under every belief, idle
-/// ratio, period, and goal of the supported envelope — at the level of
-/// the **computed f64 estimates**, not just their real-number values.
-///
-/// The argument has two halves (DESIGN.md §6):
-///
-/// * The latency inputs of every estimate chain must be **bit-identical**
-///   between `d` and `c` (same-staircase pair with bit-equal full-network
-///   latency, or identical traditional models with bit-equal stage
-///   latency). Then the mean latency, completion probabilities, expected
-///   quality, and the percentile exec time are computed from identical
-///   operands and are bit-equal — ties, which every competition resolves
-///   toward the earlier candidate, i.e. `d`.
-/// * The remaining estimates (Eq. 9/12 energies) are then round-monotone
-///   in the only differing operands: `e = p_run·t_exec + (cap·φ)·idle`
-///   with `t_exec ≥ 0`, `idle`, and `φ` identical, so `p_d ≤ p_c` and
-///   `cap_d ≤ cap_c` order the *computed* sums (f64 rounding is a
-///   monotone function; products and sums of ordered non-negative terms
-///   stay ordered).
-///
-/// Anything weaker — e.g. strict real-number dominance with a safety
-/// margin — is NOT sound at the bit level: the reference path factors
-/// its arithmetic differently per candidate, and for zero-real-slack
-/// ties (or tiny multipliers `m` against large idle terms) an ulp of
-/// rounding could flip a comparison and let a pruned candidate win the
-/// full enumeration. We therefore prune exact saturation duplicates
-/// only.
-fn dominates(
-    d: &LaneEntry,
-    c: &LaneEntry,
-    d_t_full: Seconds,
-    c_t_full: Seconds,
-    c_group_prunable: bool,
-) -> bool {
-    // Placement is part of a candidate's identity: a dominator must live
-    // on the same device, because the scheduler executes the winner there
-    // and the realized latency/energy depend on the device even when the
-    // profiled numbers coincide.
-    if d.cand.device != c.cand.device {
-        return false;
-    }
-    let same_group = d.cand.model == c.cand.model && d.cand.stage == c.cand.stage;
-    if same_group {
-        if !c_group_prunable {
-            return false;
-        }
-        // Same staircase: bit-equal full-network latency makes every
-        // per-stage product `t_full · frac_s` — and with it the whole
-        // probability/quality chain — bit-equal.
-        if d_t_full.get().to_bits() != c_t_full.get().to_bits() {
-            return false;
-        }
-    } else {
-        // Cross-model pruning is restricted to traditional models with
-        // *identical* staircases (quality, fallback) and a bit-equal
-        // stage latency: their estimates then agree everywhere except
-        // the energy terms, which (p_run, cap) order below.
-        if d.is_anytime
-            || c.is_anytime
-            || d.top_quality != c.top_quality
-            || d.fail_quality != c.fail_quality
-            || d.t_stage.get().to_bits() != c.t_stage.get().to_bits()
-        {
-            return false;
-        }
-    }
-    // Identical latency chains established; energy is round-monotone in
-    // the run power and the cap (the idle window and `t_exec` are
-    // bit-equal, and non-negative under the pruning envelope).
-    d.p_run.get() <= c.p_run.get() && d.cap.get() <= c.cap.get()
-}
-
-/// Quantized decision-input coordinates: the invalidation granularity of
-/// the [`DecisionCache`]. Two decisions in different bands never share a
-/// cache entry; two decisions in the same band still revalidate exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeliefBand {
-    mean: i64,
-    std: i64,
-    idle: i64,
-    deadline: i64,
-}
-
-/// Band widths: ξ mean/σ at 0.5 %, idle ratio at 1 %, deadline at 100 µs.
-const MEAN_BAND: f64 = 0.005;
-const STD_BAND: f64 = 0.005;
-const IDLE_BAND: f64 = 0.01;
-const DEADLINE_BAND: f64 = 1e-4;
-
-impl BeliefBand {
-    /// Quantizes the belief coordinates.
-    pub fn quantize(xi_mean: f64, xi_std: f64, idle_ratio: f64, deadline: Seconds) -> Self {
-        BeliefBand {
-            mean: (xi_mean / MEAN_BAND).floor() as i64,
-            std: (xi_std / STD_BAND).floor() as i64,
-            idle: (idle_ratio / IDLE_BAND).floor() as i64,
-            deadline: (deadline.get() / DEADLINE_BAND).floor() as i64,
-        }
-    }
-}
-
-/// The exact decision inputs, compared bit-for-bit on revalidation. A
-/// hit therefore replays a pure function at identical inputs — the
-/// mechanism by which cached selections *cannot* diverge from
-/// enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionKey {
-    xi_mean: u64,
-    xi_std: u64,
-    idle: u64,
-    deadline: u64,
-    period: u64,
-    mode: ProbabilityMode,
-    objective: Objective,
-    min_quality: Option<u64>,
-    energy_budget: Option<u64>,
-    prob_threshold: Option<u64>,
-}
-
-impl DecisionKey {
-    /// Captures the inputs of one decision. `goal` must already carry the
-    /// *effective* (adjusted) deadline.
-    pub fn capture(
-        xi: &Normal,
-        idle_ratio: f64,
-        goal: &Goal,
-        period: Seconds,
-        mode: ProbabilityMode,
-    ) -> Self {
-        DecisionKey {
-            xi_mean: xi.mean().to_bits(),
-            xi_std: xi.std_dev().to_bits(),
-            idle: idle_ratio.to_bits(),
-            deadline: goal.deadline.get().to_bits(),
-            period: period.get().to_bits(),
-            mode,
-            objective: goal.objective,
-            min_quality: goal.min_quality.map(f64::to_bits),
-            energy_budget: goal.energy_budget.map(|e| e.get().to_bits()),
-            prob_threshold: goal.prob_threshold.map(f64::to_bits),
-        }
-    }
-}
-
-/// Cache effectiveness counters (benchmark + diagnostics surface).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Decisions answered from the cache (exact revalidation inside the
-    /// band).
-    pub hits: u64,
-    /// Decisions that fell through to enumeration.
-    pub misses: u64,
-    /// Misses caused by leaving the cached band (the band-exit
-    /// invalidation event).
-    pub band_exits: u64,
-    /// Eager invalidations (`begin_group`, `restore`, `reset`).
-    pub invalidations: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CachedDecision {
-    band: BeliefBand,
-    key: DecisionKey,
-    selection: Selection,
-}
-
-/// Single-entry decision memo with band-based invalidation. See the
-/// module docs.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionCache {
-    entry: Option<CachedDecision>,
-    stats: CacheStats,
-}
-
-impl DecisionCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached selection when `key` revalidates inside the
-    /// cached band; records hit/miss/band-exit accounting.
-    pub fn lookup(&mut self, band: BeliefBand, key: &DecisionKey) -> Option<Selection> {
-        match &self.entry {
-            Some(cached) if cached.band == band && cached.key == *key => {
-                self.stats.hits += 1;
-                Some(cached.selection)
-            }
-            // Same band, inputs moved within it: near miss, entry kept.
-            Some(cached) if cached.band == band => {
-                self.stats.misses += 1;
-                None
-            }
-            // Band exit: evict, then miss.
-            Some(_) => {
-                self.stats.band_exits += 1;
-                self.stats.misses += 1;
-                self.entry = None;
-                None
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Installs the selection produced for `key`.
-    pub fn store(&mut self, band: BeliefBand, key: DecisionKey, selection: Selection) {
-        self.entry = Some(CachedDecision {
-            band,
-            key,
-            selection,
-        });
-    }
-
-    /// Eagerly drops the entry (goal/group/restore/reset events).
-    pub fn invalidate(&mut self) {
-        if self.entry.take().is_some() {
-            self.stats.invalidations += 1;
-        }
-    }
-
-    /// Effectiveness counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,7 +334,8 @@ mod tests {
     use alert_stats::units::Joules;
 
     /// A table with deliberate cap-response saturation: the two top caps
-    /// share identical profiled latencies, so the higher cap is dominated.
+    /// share identical profiled latencies, so selection must break exact
+    /// ties the way the reference enumeration does.
     fn saturated_table() -> ConfigTable {
         let models = vec![
             CandidateModel::traditional("small", 0.86, 0.005),
@@ -722,20 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn saturation_duplicates_are_pruned() {
+    fn lane_matches_reference_on_saturated_table() {
         let t = saturated_table();
         let lane = CandidateLane::build(&t);
-        // 3 stage-rows × 3 powers = 9 candidates; the 45 W copy of each
-        // stage row duplicates the 40 W one (same latency, same run
-        // power, higher cap) and must be dropped.
+        // 3 stage-rows × 3 powers.
         assert_eq!(lane.candidate_count(), 9);
-        assert_eq!(lane.pruned_count(), 3, "one duplicate per stage row");
-    }
-
-    #[test]
-    fn pruned_lane_matches_reference_on_saturated_table() {
-        let t = saturated_table();
-        let lane = CandidateLane::build(&t);
         let mut scratch = LaneScratch::for_lane(&lane);
         for (mean, std) in [(1.0, 0.02), (1.6, 0.3), (0.8, 0.0)] {
             let xi = Normal::new(mean, std);
@@ -757,14 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn unsound_thresholds_bypass_pruning_not_correctness() {
+    fn low_prob_threshold_matches_reference() {
         let t = saturated_table();
         let lane = CandidateLane::build(&t);
         let mut scratch = LaneScratch::for_lane(&lane);
         let xi = Normal::new(1.0, 0.2);
-        // Pr_th below ½ gives a negative Eq. 12 quantile — outside the
-        // pruning envelope; the lane must fall back to the full set and
-        // still match the reference bit for bit.
+        // Pr_th below ½ gives a negative Eq. 12 quantile; the hoisted
+        // `Φ⁻¹` must still match the reference bit for bit.
         let goal = Goal::minimize_error(Seconds(0.15), Joules(2.0)).with_prob_threshold(0.2);
         let fast = lane
             .select_with_period(
@@ -782,8 +417,9 @@ mod tests {
     }
 
     /// The saturated table extended with a GPU-like device whose grid
-    /// *repeats the CPU numbers bit-for-bit* — the worst case for
-    /// cross-device pruning, since every latency chain collides.
+    /// *repeats the CPU numbers bit-for-bit*, so every latency chain
+    /// collides across devices and ties must resolve in enumeration
+    /// order.
     fn two_device_table() -> ConfigTable {
         let mut t = saturated_table();
         let powers = vec![Watts(20.0), Watts(40.0), Watts(45.0)];
@@ -801,20 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn pruning_never_crosses_devices() {
-        let t = two_device_table();
-        let lane = CandidateLane::build(&t);
-        assert_eq!(lane.candidate_count(), 18);
-        // Each device prunes its own saturation duplicate per stage row
-        // (3 each) and nothing else: identical grids on another device
-        // must not shadow each other.
-        assert_eq!(lane.pruned_count(), 6);
-    }
-
-    #[test]
     fn two_device_lane_matches_reference() {
         let t = two_device_table();
         let lane = CandidateLane::build(&t);
+        assert_eq!(lane.candidate_count(), 18);
         let mut scratch = LaneScratch::for_lane(&lane);
         for (mean, std) in [(1.0, 0.02), (1.6, 0.3), (0.8, 0.0)] {
             let xi = Normal::new(mean, std);
@@ -833,82 +459,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_hits_only_on_exact_revalidation() {
-        let mut cache = DecisionCache::new();
-        let xi = Normal::new(1.0, 0.1);
-        let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
-        let key = DecisionKey::capture(&xi, 0.3, &goal, Seconds(0.2), ProbabilityMode::Full);
-        let band = BeliefBand::quantize(1.0, 0.1, 0.3, Seconds(0.2));
-        let sel = Selection {
-            candidate: Candidate {
-                device: 0,
-                model: 0,
-                stage: 0,
-                power: 0,
-            },
-            estimates: Estimates {
-                mean_latency: Seconds(0.01),
-                pr_deadline: 1.0,
-                expected_quality: 0.9,
-                energy: Joules(1.0),
-                energy_bound: Joules(1.1),
-            },
-            deadline: Seconds(0.2),
-            feasible: true,
-        };
-        assert!(cache.lookup(band, &key).is_none());
-        cache.store(band, key, sel);
-        assert_eq!(cache.lookup(band, &key), Some(sel));
-
-        // Same band, different exact belief: near miss, not a hit.
-        let xi2 = Normal::new(1.0 + 1e-9, 0.1);
-        let key2 = DecisionKey::capture(&xi2, 0.3, &goal, Seconds(0.2), ProbabilityMode::Full);
-        let band2 = BeliefBand::quantize(xi2.mean(), 0.1, 0.3, Seconds(0.2));
-        assert_eq!(band, band2, "1e-9 must not cross a 0.5% band");
-        assert!(cache.lookup(band2, &key2).is_none());
-
-        // Band exit evicts.
-        cache.store(band, key, sel);
-        let far_band = BeliefBand::quantize(2.0, 0.1, 0.3, Seconds(0.2));
-        assert!(cache.lookup(far_band, &key).is_none());
-        assert!(
-            cache.lookup(band, &key).is_none(),
-            "band exit must evict the entry"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.band_exits, 1);
-        assert!(stats.misses >= 3);
-    }
-
-    #[test]
-    fn goal_fields_partition_the_cache_key() {
-        let xi = Normal::new(1.0, 0.1);
-        let a = DecisionKey::capture(
-            &xi,
-            0.3,
-            &Goal::minimize_energy(Seconds(0.2), 0.9),
-            Seconds(0.2),
-            ProbabilityMode::Full,
-        );
-        let b = DecisionKey::capture(
-            &xi,
-            0.3,
-            &Goal::minimize_energy(Seconds(0.2), 0.91),
-            Seconds(0.2),
-            ProbabilityMode::Full,
-        );
-        let c = DecisionKey::capture(
-            &xi,
-            0.3,
-            &Goal::minimize_error(Seconds(0.2), Joules(5.0)),
-            Seconds(0.2),
-            ProbabilityMode::Full,
-        );
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

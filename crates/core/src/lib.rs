@@ -25,9 +25,8 @@
 //! adjustment), [`slowdown`] (ξ, Eq. 5), [`idle`] (φ, Eq. 8), [`latency`]
 //! (Eq. 6), [`quality`] (Eqs. 7/13), [`energy`] (Eqs. 9/12), [`select`]
 //! (Eqs. 1/2/10/11, the reference enumeration), [`lane`] (the
-//! selection-identical fast lane: SoA precomputation, dominated-candidate
-//! pruning, belief-banded decision cache), and [`alert`] (the feedback
-//! loop).
+//! selection-identical fast lane: SoA precomputation and a per-decision
+//! stage-probability memo), and [`alert`] (the feedback loop).
 
 pub mod alert;
 pub mod config;
@@ -50,6 +49,6 @@ pub use alert::{
 };
 pub use config::{Candidate, CandidateModel, ConfigTable, StagePoint};
 pub use goal::{Goal, GoalAdjuster, Objective};
-pub use lane::{CacheStats, CandidateLane, DecisionCache, LaneScratch};
+pub use lane::{CandidateLane, LaneScratch};
 pub use select::{Estimates, Selection};
 pub use slowdown::SlowdownEstimator;

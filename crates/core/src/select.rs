@@ -221,15 +221,14 @@ fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
 }
 
 /// The selection state machine shared by the reference enumeration
-/// ([`select_with_period`]) and the pruned fast lane
+/// ([`select_with_period`]) and the fast lane
 /// ([`crate::lane::CandidateLane`]): candidates are [`SelectionAccumulator::consider`]ed
 /// in table-enumeration order, the three competitions of §4 (valid /
 /// deadline-only / unconditional) advance in lockstep, and
 /// [`SelectionAccumulator::finish`] applies the fallback hierarchy.
-/// Sharing this one implementation is what makes "fast lane ≡ full
-/// enumeration" a structural property instead of a testing aspiration —
-/// the lane can only differ by *which* candidates it offers, and the
-/// dominance filter guarantees the pruned ones never win any competition.
+/// Sharing this one implementation, with the lane offering every
+/// candidate in the same order, is what makes "fast lane ≡ full
+/// enumeration" a structural property instead of a testing aspiration.
 pub(crate) struct SelectionAccumulator {
     best_valid: Option<(Candidate, Estimates)>,
     best_latency_only: Option<(Candidate, Estimates)>,

@@ -1,5 +1,5 @@
-//! Soundness proofs-by-property for the selection fast lane: the pruned,
-//! memoized, cached decision path must be **bit-identical** to the
+//! Soundness proofs-by-property for the selection fast lane: the SoA,
+//! probability-memoized decision path must be **bit-identical** to the
 //! reference full enumeration for randomized tables, beliefs, goals,
 //! probability modes, group boundaries, and snapshot/restore cuts.
 
@@ -46,8 +46,8 @@ impl Pool {
 
 /// A randomized candidate table: 1–4 models (traditional and anytime),
 /// 1–4 power settings, saturating cap responses with deliberate exact
-/// latency ties (the dominance filter's bread and butter) and occasional
-/// near-ties (its adversary).
+/// latency ties (which enumeration order must break) and occasional
+/// near-ties one ulp-ish apart.
 fn random_table(pool: &mut Pool) -> ConfigTable {
     let n_models = 1 + pool.index(4);
     let n_powers = 1 + pool.index(4);
@@ -94,8 +94,8 @@ fn random_table(pool: &mut Pool) -> ConfigTable {
         for j in 0..n_powers {
             if j > saturate_from {
                 if pool.chance(0.2) {
-                    t *= 1.0 - 1e-12; // near-tie: must NOT be pruned
-                } // else exact tie: prunable
+                    t *= 1.0 - 1e-12; // near-tie
+                } // else exact tie
             } else if j > 0 {
                 t *= pool.range(0.5, 0.95);
             }
@@ -120,8 +120,8 @@ fn random_goal(pool: &mut Pool) -> Goal {
         Goal::minimize_error(deadline, Joules(pool.range(1e-4, 30.0)))
     };
     if pool.chance(0.4) {
-        // Include thresholds below ½: they must bypass pruning, not
-        // break identity.
+        // Include thresholds below ½: their negative Eq. 12 quantile must
+        // not break identity.
         goal = goal.with_prob_threshold(pool.range(0.05, 0.999));
     }
     goal
@@ -176,8 +176,8 @@ fn assert_bits_equal(fast: &Selection, full: &Selection, label: &str) {
 }
 
 proptest! {
-    /// Stage 1+2 (SoA + pruning): for arbitrary tables and decision
-    /// inputs, the lane selects bit-identically to the reference
+    /// The lane (SoA + probability memo): for arbitrary tables and
+    /// decision inputs, it selects bit-identically to the reference
     /// enumeration.
     #[test]
     fn lane_is_bit_identical_to_full_enumeration(
@@ -203,14 +203,13 @@ proptest! {
                 .expect("valid goal");
             let full = select_with_period(&table, &xi, idle, &goal, period, mode)
                 .expect("valid goal");
-            assert_bits_equal(&fast, &full, &format!("query {q} ({} pruned)", lane.pruned_count()));
+            assert_bits_equal(&fast, &full, &format!("query {q}"));
         }
     }
 
-    /// The full controller path — fast lane *plus* the belief-banded
-    /// decision cache — against the reference enumeration, across
-    /// observation feedback, repeated decides (cache hits), group
-    /// boundaries, snapshot/restore migration, and resets. The emitted
+    /// The full controller path against the reference enumeration,
+    /// across observation feedback, repeated decides, group boundaries,
+    /// snapshot/restore migration, and resets. The emitted
     /// selection must always equal a fresh full enumeration at the
     /// controller's current belief and the decision's effective deadline.
     #[test]
@@ -253,8 +252,7 @@ proptest! {
             // The Selection records the effective deadline the decision
             // was judged against; replaying the reference enumeration at
             // that deadline and the controller's current belief must
-            // reproduce it bit for bit — whether the fast path answered
-            // from the pruned enumeration or the cache.
+            // reproduce it bit for bit.
             let reference = select_with_period(
                 &table,
                 &ctl.slowdown().distribution(),
@@ -267,7 +265,7 @@ proptest! {
             assert_bits_equal(&sel, &reference, &format!("step {step}"));
 
             // Repeat the decision without feedback (outside a group the
-            // inputs are unchanged — the cache path must still match).
+            // inputs are unchanged — the repeat must still match).
             if ctl.decisions() > 0 && pool.chance(0.5) {
                 let again = ctl.decide_with_period(&goal, period).expect("valid goal");
                 let reference2 = select_with_period(
@@ -293,11 +291,10 @@ proptest! {
         }
     }
 
-    /// Pruning actually fires on saturated tables, and never on tables
-    /// where it would be unsound to drop anything the reference could
-    /// pick: spot-check by exhaustively comparing a dense goal grid.
+    /// Saturated tables against a dense goal grid: every deadline ×
+    /// objective cell selects what the reference enumeration selects.
     #[test]
-    fn pruned_tables_survive_a_goal_grid(
+    fn saturated_tables_survive_a_goal_grid(
         raw in proptest::collection::vec(0.0f64..1.0, 64..96),
     ) {
         let mut pool = Pool::new(raw);
@@ -322,47 +319,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Deterministic (non-property) check that the controller's cache path
-/// is exercised at all: repeated decides at a converged belief must hit.
-#[test]
-fn controller_cache_hits_on_stable_belief() {
-    let models = vec![
-        CandidateModel::traditional("small", 0.86, 0.005),
-        CandidateModel::traditional("big", 0.95, 0.005),
-    ];
-    let powers = vec![Watts(20.0), Watts(45.0)];
-    let t_prof = vec![
-        vec![Seconds(0.040), Seconds(0.020)],
-        vec![Seconds(0.200), Seconds(0.100)],
-    ];
-    let p_run = vec![
-        vec![Watts(18.0), Watts(40.0)],
-        vec![Watts(19.0), Watts(42.0)],
-    ];
-    let table = ConfigTable::new(models, powers, t_prof, p_run).expect("valid table");
-    let mut ctl = AlertController::new(
-        table,
-        AlertParams {
-            overhead: OverheadPolicy::None,
-            ..Default::default()
-        },
-    )
-    .expect("valid params");
-    let goal = Goal::minimize_error(Seconds(0.3), Joules(20.0));
-    for _ in 0..10 {
-        let _ = ctl.decide(&goal).expect("valid goal");
-    }
-    let stats = ctl.cache_stats();
-    assert_eq!(stats.hits, 9, "identical inputs must replay the cache");
-    assert_eq!(stats.misses, 1);
-
-    // A group boundary invalidates; the next decision re-enumerates.
-    ctl.begin_group(Seconds(0.6), 2);
-    let _ = ctl.decide(&goal).expect("valid goal");
-    let stats = ctl.cache_stats();
-    assert_eq!(stats.hits, 9);
-    assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.misses, 2);
 }

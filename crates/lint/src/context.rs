@@ -21,8 +21,9 @@ pub enum FileKind {
     /// `crates/<name>/src/**` or the root `src/**` — library code, held
     /// to the strictest rules (no-panic applies here).
     Library,
-    /// `crates/bench/**` — experiment drivers; may meter wall time and
-    /// panic on malformed experiment setup.
+    /// `crates/bench/**` and the standalone `perfbench/**` package —
+    /// experiment and benchmark drivers; may meter wall time and panic on
+    /// malformed experiment setup.
     Bench,
     /// `src/bin/**` or `src/main.rs` of a non-bench crate — CLI entry
     /// points.
@@ -91,6 +92,7 @@ fn classify(rel: &str) -> (String, FileKind) {
             };
             (crate_name, kind)
         }
+        ["perfbench", ..] => ("alert-perfbench".to_string(), FileKind::Bench),
         ["tests", ..] => ("alert".to_string(), FileKind::IntegrationTest),
         ["examples", ..] => ("alert".to_string(), FileKind::Example),
         ["src", "bin", ..] | ["src", "main.rs"] => ("alert".to_string(), FileKind::Bin),
@@ -294,6 +296,7 @@ mod tests {
                 FileKind::Bench,
             ),
             ("crates/bench/src/lib.rs", "alert-bench", FileKind::Bench),
+            ("perfbench/src/main.rs", "alert-perfbench", FileKind::Bench),
             ("crates/lint/src/main.rs", "alert-lint", FileKind::Bin),
             (
                 "crates/core/tests/fast_lane.rs",

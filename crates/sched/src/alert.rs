@@ -365,8 +365,7 @@ impl Scheduler for AlertScheduler {
 
     fn sync_goal(&mut self, goal: &alert_core::Goal) {
         // Scripted goal changes (§5): the controller retargets the new
-        // requirement on the next decision. Same-valued syncs are free —
-        // the decision cache keys on the goal bits.
+        // requirement on the next decision. Same-valued syncs are free.
         self.base_goal = *goal;
     }
 

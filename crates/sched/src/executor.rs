@@ -154,7 +154,7 @@ fn drain_shard(
 /// candidate family, policy registry), with session ids stride-allocated
 /// so `id.shard_of(workers)` routes every request to its owner.
 ///
-/// Serial operations (`open_session`, `submit`, `close`, …) behave
+/// Serial operations (`session(..).open()`, `submit`, `close`, …) behave
 /// exactly like their [`Runtime`] counterparts on the owning shard;
 /// [`ShardedRuntime::drain`] drains *all* shards in parallel, one thread
 /// per shard. Episodes and sink event streams are bit-identical
@@ -335,12 +335,6 @@ impl ShardedRuntime {
         debug_assert_eq!(self.shard_of(id), shard);
         self.pump_events();
         Ok(id)
-    }
-
-    /// Opens a session on the next shard, round-robin.
-    #[deprecated(note = "use `sharded.session(spec).open()`")]
-    pub fn open_session(&mut self, spec: SessionSpec) -> Result<SessionId, RuntimeError> {
-        self.open_parts_on(None, spec, None, None)
     }
 
     /// Advances `id` by exactly one input — see [`Runtime::submit`].

@@ -5,7 +5,7 @@
 //! number of independent [`SessionId`]-addressed sessions, each a
 //! long-lived handle over (stream, frozen environment, goal, scheduler):
 //!
-//! * [`Runtime::open_session`] builds a session from a serializable
+//! * [`Runtime::session`] builds a session from a serializable
 //!   [`SessionSpec`] (scenario + seed + goal + optional policy override);
 //! * [`Runtime::submit`] advances one session by exactly one input,
 //!   emitting an [`EpisodeEvent`] to the configured [`EventSink`];
@@ -305,15 +305,7 @@ pub(crate) enum HostRef<'rt> {
 
 /// The one builder behind every way of opening a session — returned by
 /// [`Runtime::session`] and
-/// [`ShardedRuntime::session`](executor::ShardedRuntime::session), it
-/// collapses the historical `open_session` / `open_session_on` /
-/// `open_session_with` trio:
-///
-/// | old | new |
-/// |---|---|
-/// | `open_session(spec)` | `session(spec).open()` |
-/// | `open_session_on(policy, goal, stream, env)` | `session(spec).policy(policy).on(stream, env).open()` |
-/// | `open_session_with(sched, goal, stream, env)` | `session(spec).on(stream, env).with(sched).open()` |
+/// [`ShardedRuntime::session`](executor::ShardedRuntime::session).
 ///
 /// On a sharded runtime, [`SessionOptions::on_shard`] pins the session
 /// to a specific shard instead of the round-robin default — the serving
@@ -752,7 +744,7 @@ impl Runtime {
     }
 
     /// Validates a spec and materializes its session ingredients — the
-    /// single code path behind both [`Runtime::open_session`] and
+    /// single code path behind both [`Runtime::session`] and
     /// [`Runtime::restore_session`] (the bit-identical-resume guarantee
     /// depends on these never diverging). The returned spec has its
     /// seed and policy resolved against the runtime defaults, so it is
@@ -822,9 +814,9 @@ impl Runtime {
         SessionOptions::new(HostRef::Single(self), spec)
     }
 
-    /// The single open path behind [`Runtime::session`] and the
-    /// deprecated entry points: spec-materialized, external-environment,
-    /// and pre-built-scheduler sessions all land here.
+    /// The single open path behind [`Runtime::session`]:
+    /// spec-materialized, external-environment, and pre-built-scheduler
+    /// sessions all land here.
     pub(crate) fn open_parts(
         &mut self,
         spec: SessionSpec,
@@ -887,52 +879,6 @@ impl Runtime {
                 }))
             }
         }
-    }
-
-    /// Opens a session from a serializable spec.
-    #[deprecated(note = "use `runtime.session(spec).open()`")]
-    pub fn open_session(&mut self, spec: SessionSpec) -> Result<SessionId, RuntimeError> {
-        self.open_parts(spec, None, None)
-    }
-
-    /// Opens a session on an externally built frozen environment.
-    #[deprecated(note = "use `runtime.session(spec).policy(name).on(stream, env).open()`")]
-    pub fn open_session_on(
-        &mut self,
-        policy: &str,
-        goal: Goal,
-        stream: InputStream,
-        env: Arc<EpisodeEnv>,
-    ) -> Result<SessionId, RuntimeError> {
-        let spec = SessionSpec {
-            goal,
-            scenario: Scenario::default_env(),
-            n_inputs: stream.len().max(1),
-            seed: None,
-            policy: Some(policy.to_string()),
-        };
-        self.open_parts(spec, Some((stream, env)), None)
-    }
-
-    /// Opens a session with a pre-built scheduler.
-    #[deprecated(note = "use `runtime.session(spec).on(stream, env).with(scheduler).open()`")]
-    pub fn open_session_with(
-        &mut self,
-        scheduler: Box<dyn Scheduler>,
-        goal: Goal,
-        stream: InputStream,
-        env: Arc<EpisodeEnv>,
-    ) -> SessionId {
-        let scheme = scheduler.name().to_string();
-        self.insert_session(Session {
-            spec: None,
-            scheme,
-            scheduler,
-            env,
-            stream,
-            goal,
-            engine: SessionEngine::new(),
-        })
     }
 
     fn session_ref(&self, id: SessionId) -> Result<&Session, RuntimeError> {
@@ -1362,22 +1308,6 @@ mod tests {
         let mut s = spec(1);
         s.policy = Some("NoSuch".into());
         assert!(matches!(rt.session(s).open(), Err(crate::Error::Policy(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_are_equivalent_shims() {
-        // The legacy trio must keep producing sessions bit-identical to
-        // the SessionOptions builder until it is removed.
-        let mut old_rt = runtime();
-        let old_id = old_rt.open_session(spec(17)).unwrap();
-        old_rt.run_to_completion(old_id).unwrap();
-        let old_ep = old_rt.close(old_id).unwrap();
-        let mut new_rt = runtime();
-        let new_id = new_rt.session(spec(17)).open().unwrap();
-        new_rt.run_to_completion(new_id).unwrap();
-        let new_ep = new_rt.close(new_id).unwrap();
-        assert_eq!(old_ep.records, new_ep.records);
     }
 
     #[test]

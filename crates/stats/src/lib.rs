@@ -19,8 +19,7 @@
 //!   for Table 4 aggregation.
 //! * [`histogram`] — fixed-bin histograms with density normalization
 //!   (paper Fig. 11).
-//! * [`hull`] — lower convex hull and Pareto frontier of 2-D point sets
-//!   (paper Fig. 2).
+//! * [`hull`] — lower convex hull of 2-D point sets (paper Fig. 2).
 //! * [`fit`] — Gaussian maximum-likelihood fit plus a Kolmogorov–Smirnov
 //!   distance (used to quantify how non-Gaussian observed slowdowns are,
 //!   paper Fig. 11 and §3.6).
@@ -51,7 +50,7 @@ pub mod units;
 
 pub use fit::{GaussianFit, KsStatistic};
 pub use histogram::Histogram;
-pub use hull::{lower_convex_hull, pareto_frontier, Point2};
+pub use hull::{lower_convex_hull, Point2};
 pub use kalman::{AdaptiveKalman, AdaptiveKalmanParams, IdlePowerFilter, ScalarKalman};
 pub use normal::{inv_phi, phi, Normal};
 pub use summary::{five_number, harmonic_mean, percentile, FiveNumber, Welford};

@@ -367,9 +367,8 @@ fn cap_storm_miss_is_explainable_from_the_flight_recorder() {
     // The causal chain, end to end: belief at decision time...
     assert!(entry.event.trace.belief_mean > 0.0);
     assert!(entry.event.trace.belief_std >= 0.0);
-    // ...candidates considered (and what pruning left live)...
+    // ...candidates considered...
     assert!(entry.event.trace.candidates > 0);
-    assert!(entry.event.trace.live <= entry.event.trace.candidates);
     // ...the selected configuration with its prediction...
     assert!(entry.event.trace.estimates.mean_latency.get() > 0.0);
     // ...and the realized outcome, bitwise equal to the episode record.
