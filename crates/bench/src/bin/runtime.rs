@@ -19,7 +19,10 @@
 //! verification pass walks the *identical* warmup + measurement
 //! trajectory the timing pass then re-walks unasserted (the controller
 //! is deterministic), so the assertion covers every timed decision
-//! without polluting the measurement.
+//! without polluting the measurement. Each grid point also reports the
+//! mean number of targets the lane scored per decision, and the bench
+//! reports the wall cost of one `DecisionStopwatch` start+elapsed pair,
+//! the clock reads inside every metered decision.
 //!
 //! Usage: `runtime [n_inputs_per_session] [seed]` (defaults 300, 2020).
 
@@ -30,6 +33,7 @@ use alert_sched::alert::build_table;
 use alert_sched::runtime::{Runtime, RuntimeBuilder, SessionSpec};
 use alert_sched::telemetry::{FlightRecorder, MetricsCollector, TelemetryConfig};
 use alert_sched::{Episode, FamilyKind};
+use alert_stats::cputime::DecisionStopwatch;
 use alert_stats::telemetry::Scope;
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_workload::{Goal, Scenario, SessionId};
@@ -114,6 +118,8 @@ struct DecisionMeasurement {
     decision_us_full: f64,
     speedup: f64,
     verified_identical: usize,
+    /// Mean targets the fast lane scored per measured decision.
+    scored_mean: f64,
 }
 
 /// The belief-driving observation for step `i`: `stable` replays the
@@ -135,11 +141,23 @@ fn observation_for(env: &str, i: usize, profile: Seconds, cap: Watts) -> Observa
     }
 }
 
+/// Totals of one [`drive_decisions`] run.
+struct DriveTotals {
+    /// Fast-lane decision time.
+    fast_s: f64,
+    /// Reference full-enumeration time at the same beliefs.
+    full_s: f64,
+    /// Decisions asserted bit-identical to the reference.
+    verified: usize,
+    /// Targets the fast lane scored, summed over the decisions.
+    scored: usize,
+}
+
 /// Drives `controller` for `n` decide→observe steps starting at
-/// observation phase `start`, returning the total fast-lane decision
-/// time; when `verify` is set, every decision is replayed through the
-/// reference full enumeration and asserted bit-identical (the
-/// fast-lane-vs-enumerated guard).
+/// observation phase `start`, returning the total fast-lane and
+/// reference decision time; when `verify` is set, every decision is
+/// replayed through the reference full enumeration and asserted
+/// bit-identical (the fast-lane-vs-enumerated guard).
 fn drive_decisions(
     controller: &mut AlertController,
     goal: &Goal,
@@ -147,14 +165,18 @@ fn drive_decisions(
     start: usize,
     n: usize,
     verify: bool,
-) -> (f64, f64, usize) {
-    let mut fast_s = 0.0;
-    let mut full_s = 0.0;
-    let mut verified = 0;
+) -> DriveTotals {
+    let mut totals = DriveTotals {
+        fast_s: 0.0,
+        full_s: 0.0,
+        verified: 0,
+        scored: 0,
+    };
     for i in start..start + n {
         let t0 = Instant::now();
         let sel = controller.decide(goal).expect("valid goal");
         let t1 = Instant::now();
+        totals.scored += controller.last_trace().map_or(0, |t| t.scored);
         // Reference full enumeration at the same belief and effective
         // deadline (OverheadPolicy::None keeps it equal to the goal's).
         let reference = select_with_period(
@@ -167,25 +189,26 @@ fn drive_decisions(
         )
         .expect("valid goal");
         let t2 = Instant::now();
-        fast_s += (t1 - t0).as_secs_f64();
-        full_s += (t2 - t1).as_secs_f64();
+        totals.fast_s += (t1 - t0).as_secs_f64();
+        totals.full_s += (t2 - t1).as_secs_f64();
         if verify {
             assert_eq!(
                 sel, reference,
                 "fast-lane selection diverged from full enumeration at {env} step {i}"
             );
-            verified += 1;
+            totals.verified += 1;
         }
         let profile = controller.table().t_prof_stage(sel.candidate);
         let cap = controller.table().cap(sel.candidate.power);
         controller.observe(&observation_for(env, i, profile, cap));
     }
-    (fast_s, full_s, verified)
+    totals
 }
 
 /// The `bench decisions` grid: per-decision scheduler cost of the fast
-/// lane (SoA + stage-probability memo) against the reference full
-/// enumeration, on the CPU1 × image-family candidate table.
+/// lane (SoA + stage-probability memo + valid-first search) against the
+/// reference full enumeration, on the CPU1 × image-family candidate
+/// table.
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
     let platform = alert_platform::Platform::cpu1();
@@ -207,7 +230,8 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
         // step for step) — every decision the timing pass will make is
         // replayed against the reference enumeration here.
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
-        let (_, _, verified) = drive_decisions(&mut ctl, &goal, env, 0, warmup + n_decisions, true);
+        let verified =
+            drive_decisions(&mut ctl, &goal, env, 0, warmup + n_decisions, true).verified;
         assert_eq!(verified, warmup + n_decisions);
 
         // Timing pass: fresh controller, same observation phases —
@@ -215,16 +239,17 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
         // window continuing at phase `warmup`.
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
         let _ = drive_decisions(&mut ctl, &goal, env, 0, warmup, false);
-        let (fast_s, full_s, _) = drive_decisions(&mut ctl, &goal, env, warmup, n_decisions, false);
+        let t = drive_decisions(&mut ctl, &goal, env, warmup, n_decisions, false);
         out.push(DecisionMeasurement {
             env,
             candidates: ctl.lane().candidate_count(),
             warmup,
             decisions: n_decisions,
-            decision_us_fast: fast_s / n_decisions as f64 * 1e6,
-            decision_us_full: full_s / n_decisions as f64 * 1e6,
-            speedup: full_s / fast_s,
+            decision_us_fast: t.fast_s / n_decisions as f64 * 1e6,
+            decision_us_full: t.full_s / n_decisions as f64 * 1e6,
+            speedup: t.full_s / t.fast_s,
             verified_identical: verified,
+            scored_mean: t.scored as f64 / n_decisions as f64,
         });
     }
     out
@@ -371,6 +396,8 @@ struct TelemetryMeasurement {
     /// instrumented / baseline decision overhead (CPU time, not wall).
     overhead_ratio: f64,
     decisions: u64,
+    /// Targets scored over those decisions (the fast lane's work).
+    targets_scored: u64,
     deadline_misses: u64,
     flight_recording_cost_s: f64,
     records_identical: bool,
@@ -487,6 +514,7 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
         instrumented_overhead_us: instrumented_overhead / inputs_total as f64 * 1e6,
         overhead_ratio,
         decisions,
+        targets_scored: registry.counter("targets_scored", Scope::Global),
         deadline_misses: registry.counter("deadline_misses", Scope::Global),
         flight_recording_cost_s: recorder.recording_cost().get(),
         records_identical: true,
@@ -508,6 +536,16 @@ fn assert_parallel_matches_serial(n_inputs: usize, seed: u64) {
         assert_eq!(id, rid);
         assert_eq!(a.records, b.records, "parallel drain diverged on {id}");
     }
+}
+
+/// Mean wall cost of one [`DecisionStopwatch`] start + elapsed pair over
+/// `n` pairs — the clock reads every decision's metered window contains.
+fn stopwatch_pair_ns(n: usize) -> f64 {
+    let start = Instant::now();
+    for _ in 0..n {
+        std::hint::black_box(DecisionStopwatch::start().elapsed());
+    }
+    start.elapsed().as_secs_f64() / n as f64 * 1e9
 }
 
 fn main() {
@@ -568,7 +606,7 @@ fn main() {
     // every selection verified bit-identical between the two paths.
     banner(
         "Decision fast lane",
-        "Per-decision scheduler cost: SoA+memo vs full enumeration (selections verified identical)",
+        "Per-decision scheduler cost: SoA+memo+valid-first vs full enumeration (selections verified identical)",
     );
     csv_header(&[
         "env",
@@ -576,6 +614,7 @@ fn main() {
         "decision_us_fast",
         "decision_us_full",
         "speedup",
+        "scored_mean",
     ]);
     let decision_grid = bench_decisions((n_inputs * 4).clamp(400, 4000));
     let mut decision_results = Vec::new();
@@ -586,6 +625,7 @@ fn main() {
             f(m.decision_us_fast, 3),
             f(m.decision_us_full, 3),
             f(m.speedup, 2),
+            f(m.scored_mean, 1),
         ]);
         decision_results.push(serde_json::json!({
             "env": m.env,
@@ -596,8 +636,16 @@ fn main() {
             "decision_overhead_us_mean_full_enum": m.decision_us_full,
             "speedup": m.speedup,
             "verified_identical": m.verified_identical,
+            "scored_mean": m.scored_mean,
         }));
     }
+
+    // The metering every decision pays inside its own measured window.
+    let pairs = 200_000;
+    let stopwatch_ns = stopwatch_pair_ns(pairs);
+    println!(
+        "\n[one DecisionStopwatch start+elapsed pair: {stopwatch_ns:.0} ns wall, mean of {pairs}]"
+    );
 
     // Churn at scale: thousands of open/close operations against the
     // sharded runtime, isolation asserted on a measured session.
@@ -647,8 +695,10 @@ fn main() {
         tm.deadline_misses.to_string(),
     ]);
     println!(
-        "[records bit-identical with telemetry on; overhead ratio {:.3} <= 1.10]",
-        tm.overhead_ratio
+        "[records bit-identical with telemetry on; overhead ratio {:.3} <= 1.10; \
+         {:.1} targets scored per decision]",
+        tm.overhead_ratio,
+        tm.targets_scored as f64 / tm.decisions as f64,
     );
     let snapshot_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -663,6 +713,10 @@ fn main() {
         "available_parallelism": cores,
         "results": results,
         "decisions": decision_results,
+        "stopwatch": serde_json::json!({
+            "pairs": pairs,
+            "pair_ns": stopwatch_ns,
+        }),
         "telemetry": serde_json::json!({
             "sessions": tm.sessions,
             "inputs_total": tm.inputs_total,
@@ -673,6 +727,8 @@ fn main() {
             "instrumented_overhead_us": tm.instrumented_overhead_us,
             "overhead_ratio": tm.overhead_ratio,
             "decisions": tm.decisions,
+            "targets_scored": tm.targets_scored,
+            "scored_mean": tm.targets_scored as f64 / tm.decisions as f64,
             "deadline_misses": tm.deadline_misses,
             "flight_recording_cost_s": tm.flight_recording_cost_s,
             "records_identical": tm.records_identical,

@@ -182,8 +182,13 @@ pub struct DecisionTrace {
     /// The deadline actually decided against (after goal adjustment:
     /// group budget, overhead reserve).
     pub effective_deadline: Seconds,
-    /// Total execution targets in the candidate lane (all scored).
+    /// Total execution targets in the candidate lane.
     pub candidates: usize,
+    /// Targets this decision scored in full (deadline probability and
+    /// expected quality): those the lane's valid-first phase could not
+    /// rule out, or all `candidates` when no target was valid and the
+    /// §4 fallback ran ([`crate::lane::LaneScratch::scored`]).
+    pub scored: usize,
     /// The chosen execution target.
     pub selected: Candidate,
     /// The winner's estimates at selection time (predicted latency,
@@ -199,10 +204,11 @@ pub struct DecisionTrace {
 #[derive(Debug, Clone)]
 pub struct AlertController {
     table: ConfigTable,
-    /// The selection fast lane (SoA + probability memo), built once from
-    /// `table`.
+    /// The selection fast lane (SoA + probability memo + valid-first
+    /// search), built once from `table`.
     lane: CandidateLane,
-    /// Reusable per-decision scratch (probability memo, quality buffer).
+    /// Reusable per-decision scratch (probability memo, quality buffer,
+    /// scored count).
     scratch: LaneScratch,
     params: AlertParams,
     xi: SlowdownEstimator,
@@ -314,6 +320,7 @@ impl AlertController {
             idle_ratio,
             effective_deadline: effective,
             candidates: self.lane.candidate_count(),
+            scored: self.scratch.scored(),
             selected: sel.candidate,
             estimates: sel.estimates,
             feasible: sel.feasible,
@@ -662,6 +669,7 @@ mod tests {
         assert_eq!(trace.estimates, sel.estimates);
         assert_eq!(trace.feasible, sel.feasible);
         assert_eq!(trace.candidates, ctl.lane().candidate_count());
+        assert!(trace.scored >= 1 && trace.scored <= trace.candidates);
         assert_eq!(trace.belief_mean, ctl.slowdown().mean());
         assert!(trace.cost.get() > 0.0);
         // Reset and restore both clear the trace.

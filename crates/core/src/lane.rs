@@ -1,5 +1,5 @@
-//! The selection fast lane: structure-of-arrays candidate precomputation
-//! with a per-decision stage-probability memo.
+//! The selection fast lane: structure-of-arrays candidate precomputation,
+//! a per-decision stage-probability memo, and a valid-first search.
 //!
 //! ALERT re-enumerates every `(device, model, stage, power)` execution
 //! target per input (§3.2 step 4, with the device axis collapsing on
@@ -10,34 +10,43 @@
 //! in [`crate::select::select_with_period`]:
 //!
 //! * per-candidate profile terms (`t^prof` stage latencies, run power,
-//!   cap, staircase, quality guard) are flattened at construction into a
-//!   cache-friendly structure-of-arrays, so a decision does no
-//!   nested-`Vec` chasing;
+//!   cap, staircase, quality guard and quality ceiling) are flattened at
+//!   construction into a cache-friendly structure-of-arrays, so a
+//!   decision does no nested-`Vec` chasing;
 //! * stage-completion probabilities are *memoized per decision* across
 //!   sibling candidates (the stage-`k` target probability of `(i, k, j)`
 //!   is the same number as stage `k` of `(i, k+1, j)`'s staircase);
 //! * the `Φ⁻¹(Pr_th)` of the Eq. 12 energy bound — constant across
 //!   candidates — is hoisted out of the loop
-//!   ([`crate::latency::percentile_latency_with_z`]).
+//!   ([`crate::latency::percentile_latency_with_z`]), and its default
+//!   (no explicit `Pr_th`) is computed once at build;
+//! * the search is **valid-first**, following the §4 hierarchy: the
+//!   fallbacks matter only when no target is valid. Phase 1 walks the
+//!   entries in enumeration order, skips every target a Φ-free test
+//!   proves invalid (`select::may_be_valid`), and offers the rest to the
+//!   valid competition only. If nothing valid turned up, phase 2 offers
+//!   every target to all three competitions — the reference loop,
+//!   reusing the phase-1 memo.
 //!
-//! Every candidate is scored, in enumeration order, through the
-//! same `SelectionAccumulator`, and every reused value is produced by
-//! the *same* floating-point expression as the reference path, so
-//! sharing cannot change a bit. `tests/fast_lane.rs` proves bit-identity
-//! of the lane and the controller against the reference enumeration over
-//! randomized tables, beliefs, goals, group boundaries, and
-//! snapshot/restore cuts; the `runtime` benchmark re-asserts it on every
-//! run.
+//! Phase 1 returns the reference winner because every valid target is
+//! offered, in the same relative order, with estimates from the same
+//! floating-point expressions; the skipped targets would have failed the
+//! valid test, and `SelectionAccumulator::finish` ignores the fallbacks
+//! whenever a valid target exists. `tests/fast_lane.rs` proves
+//! bit-identity of the lane and the controller against the reference
+//! enumeration over randomized tables, beliefs, goals, group boundaries,
+//! and snapshot/restore cuts, with cases that force each phase; the
+//! `runtime` benchmark re-asserts it on every run.
 
 use crate::alert::ProbabilityMode;
 use crate::config::{Candidate, ConfigTable, StagePoint};
 use crate::goal::Goal;
 use crate::select::{
-    Estimates, SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
+    may_be_valid, Estimates, SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
 };
 use crate::Selection;
 use alert_stats::normal::{inv_phi, Normal};
-use alert_stats::units::{Seconds, Watts};
+use alert_stats::units::{Joules, Seconds, Watts};
 
 /// One flattened execution target.
 #[derive(Debug, Clone, Copy)]
@@ -51,9 +60,41 @@ struct LaneEntry {
     fail_quality: f64,
     /// Precomputed [`QUALITY_GUARD_FRACTION`] span margin.
     guard: f64,
+    /// Upper bound on any expected quality of stages `0..=stage`
+    /// ([`crate::quality::quality_ceiling`]).
+    quality_ceiling: f64,
     /// First probability-memo slot of this candidate's `(model, power)`
     /// block; the block holds one slot per staircase stage.
     slot_base: u32,
+}
+
+impl LaneEntry {
+    /// The Eq. 9 energy and its Eq. 12 bound — Φ-free, arithmetically
+    /// identical to [`crate::select::evaluate`].
+    fn energies(
+        &self,
+        xi: &Normal,
+        idle_ratio: f64,
+        period: Seconds,
+        z_bound: Option<f64>,
+    ) -> (Joules, Joules) {
+        let energy = crate::energy::estimate_energy(
+            xi,
+            self.t_stage,
+            self.p_run,
+            self.cap,
+            idle_ratio,
+            period,
+        );
+        let energy_bound = match z_bound {
+            Some(z) => {
+                let t_pct = crate::latency::percentile_latency_with_z(xi, self.t_stage, z);
+                crate::energy::estimate_energy_at(t_pct, self.p_run, self.cap, idle_ratio, period)
+            }
+            None => energy,
+        };
+        (energy, energy_bound)
+    }
 }
 
 /// The static fast-lane tables. Built once per controller from a
@@ -71,6 +112,9 @@ pub struct CandidateLane {
     stage_points: Vec<StagePoint>,
     /// Longest staircase (sizes the quality scratch buffer).
     max_stages: usize,
+    /// `Φ⁻¹(ENERGY_GUARD_PERCENTILE)`, the Eq. 12 quantile of goals with
+    /// no explicit `Pr_th`.
+    default_z: f64,
 }
 
 /// Reusable per-decision mutable state: the stage-probability memo and
@@ -82,6 +126,7 @@ pub struct LaneScratch {
     stamp: Vec<u64>,
     generation: u64,
     quality_buf: Vec<f64>,
+    scored: usize,
 }
 
 impl LaneScratch {
@@ -92,7 +137,15 @@ impl LaneScratch {
             stamp: vec![0; lane.stage_lat.len()],
             generation: 0,
             quality_buf: vec![0.0; lane.max_stages],
+            scored: 0,
         }
+    }
+
+    /// Targets the last selection scored in full (deadline probability
+    /// and expected quality): the valid-first survivors, or every target
+    /// when the §4 fallback ran.
+    pub fn scored(&self) -> usize {
+        self.scored
     }
 }
 
@@ -137,6 +190,10 @@ impl CandidateLane {
                 is_anytime: m.is_anytime(),
                 fail_quality: m.fail_quality,
                 guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
+                quality_ceiling: crate::quality::quality_ceiling(
+                    &m.stages[..=c.stage],
+                    m.fail_quality,
+                ),
                 slot_base: base,
             });
         }
@@ -147,6 +204,7 @@ impl CandidateLane {
             stage_lat,
             stage_points,
             max_stages,
+            default_z: inv_phi(ENERGY_GUARD_PERCENTILE),
         }
     }
 
@@ -155,17 +213,18 @@ impl CandidateLane {
         self.entries.len()
     }
 
-    /// Targets scored per decision: every one of them, so this equals
-    /// [`Self::candidate_count`]. Kept for callers that report the
-    /// scored share.
+    /// Targets the lane holds for selection: all of them, so this equals
+    /// [`Self::candidate_count`]. How many a decision actually scores is
+    /// [`LaneScratch::scored`].
     pub fn live_count(&self) -> usize {
         self.candidate_count()
     }
 
     /// Fast-lane counterpart of [`crate::select::select_with_period`]:
-    /// same inputs, same output, bit for bit — enumeration runs over the
-    /// flattened entries with memoized stage probabilities and a hoisted
-    /// `Φ⁻¹`.
+    /// same inputs, same output, bit for bit — a valid-first walk over
+    /// the flattened entries with memoized stage probabilities and a
+    /// hoisted `Φ⁻¹`, falling back to the full walk only when no target
+    /// is valid (module docs).
     ///
     /// # Errors
     ///
@@ -185,9 +244,9 @@ impl CandidateLane {
         // Hoist the Eq. 12 standard-normal quantile: constant across
         // candidates within one decision.
         let z_bound = match mode {
-            ProbabilityMode::Full if xi.std_dev() > 0.0 => Some(inv_phi(
-                goal.prob_threshold.unwrap_or(ENERGY_GUARD_PERCENTILE),
-            )),
+            ProbabilityMode::Full if xi.std_dev() > 0.0 => {
+                Some(goal.prob_threshold.map_or(self.default_z, inv_phi))
+            }
             _ => None,
         };
 
@@ -197,61 +256,73 @@ impl CandidateLane {
             stamp,
             generation,
             quality_buf,
+            scored,
         } = scratch;
+        let mut memo = Memo {
+            stage_lat: &self.stage_lat,
+            probs,
+            stamp,
+            generation: *generation,
+            quality_buf,
+            xi,
+            deadline: goal.deadline,
+        };
 
+        // Phase 1: score only what may be valid, for the valid
+        // competition only.
         let mut acc = SelectionAccumulator::new();
+        *scored = 0;
         for e in &self.entries {
-            let est = self.evaluate_entry(
-                e,
-                probs,
-                stamp,
-                *generation,
-                quality_buf,
-                xi,
-                idle_ratio,
+            let mean_latency = crate::latency::predict_mean(xi, e.t_stage);
+            let energies = || e.energies(xi, idle_ratio, period, z_bound);
+            if !may_be_valid(
+                e.is_anytime,
+                mean_latency,
+                e.quality_ceiling,
+                e.guard,
+                || energies().1,
                 goal,
-                period,
-                mode,
-                z_bound,
-            );
-            acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
+            ) {
+                continue;
+            }
+            *scored += 1;
+            let est = self.estimates(e, &mut memo, mean_latency, energies(), mode);
+            acc.consider_valid(e.cand, est, e.is_anytime, e.guard, goal);
+        }
+
+        // Phase 2, the §4 fallback: nothing is valid, so every target
+        // competes for the fallbacks, exactly as in the reference loop.
+        if !acc.has_valid() {
+            *scored = self.entries.len();
+            for e in &self.entries {
+                let mean_latency = crate::latency::predict_mean(xi, e.t_stage);
+                let energies = e.energies(xi, idle_ratio, period, z_bound);
+                let est = self.estimates(e, &mut memo, mean_latency, energies, mode);
+                acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
+            }
         }
         acc.finish(goal)
     }
 
-    /// Per-candidate estimates, arithmetically identical to
+    /// Completes an entry's estimates from its Φ-free part (mean latency
+    /// and [`LaneEntry::energies`]) with its deadline probability and
+    /// expected quality, arithmetically identical to
     /// [`crate::select::evaluate`] (same leaf functions, same operand
     /// order), with stage probabilities memoized across candidates.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_entry(
+    fn estimates(
         &self,
         e: &LaneEntry,
-        probs: &mut [f64],
-        stamp: &mut [u64],
-        generation: u64,
-        quality_buf: &mut [f64],
-        xi: &Normal,
-        idle_ratio: f64,
-        goal: &Goal,
-        period: Seconds,
+        memo: &mut Memo<'_>,
+        mean_latency: Seconds,
+        (energy, energy_bound): (Joules, Joules),
         mode: ProbabilityMode,
-        z_bound: Option<f64>,
     ) -> Estimates {
-        let deadline = goal.deadline;
+        let deadline = memo.deadline;
         let base = e.slot_base as usize;
         let n_stages = e.cand.stage + 1;
 
-        let mean_latency = crate::latency::predict_mean(xi, e.t_stage);
         let pr_deadline = match mode {
-            ProbabilityMode::Full => slot_prob(
-                &self.stage_lat,
-                probs,
-                stamp,
-                generation,
-                base + e.cand.stage,
-                xi,
-                deadline,
-            ),
+            ProbabilityMode::Full => memo.prob(base + e.cand.stage),
             ProbabilityMode::MeanOnly => {
                 if mean_latency.get() <= deadline.get() {
                     1.0
@@ -262,21 +333,13 @@ impl CandidateLane {
         };
         let expected_quality = match mode {
             ProbabilityMode::Full => {
-                for (s, q) in quality_buf.iter_mut().enumerate().take(n_stages) {
-                    *q = slot_prob(
-                        &self.stage_lat,
-                        probs,
-                        stamp,
-                        generation,
-                        base + s,
-                        xi,
-                        deadline,
-                    );
+                for s in 0..n_stages {
+                    memo.quality_buf[s] = memo.prob(base + s);
                 }
                 crate::quality::expected_quality_from_probs(
                     &self.stage_points[base..base + n_stages],
                     e.fail_quality,
-                    &mut quality_buf[..n_stages],
+                    &mut memo.quality_buf[..n_stages],
                 )
             }
             ProbabilityMode::MeanOnly => crate::quality::mean_only_quality_over(
@@ -285,18 +348,9 @@ impl CandidateLane {
                     .zip(&self.stage_points[base..base + n_stages])
                     .map(|(&t, s)| (t, s.quality)),
                 e.fail_quality,
-                xi.mean(),
+                memo.xi.mean(),
                 deadline,
             ),
-        };
-        let energy =
-            crate::energy::estimate_energy(xi, e.t_stage, e.p_run, e.cap, idle_ratio, period);
-        let energy_bound = match z_bound {
-            Some(z) => {
-                let t_pct = crate::latency::percentile_latency_with_z(xi, e.t_stage, z);
-                crate::energy::estimate_energy_at(t_pct, e.p_run, e.cap, idle_ratio, period)
-            }
-            None => energy,
         };
         Estimates {
             mean_latency,
@@ -308,22 +362,29 @@ impl CandidateLane {
     }
 }
 
-/// Lazily computed, per-decision-memoized stage-completion probability
-/// (paper Eq. 6) for one arena slot.
-fn slot_prob(
-    stage_lat: &[Seconds],
-    probs: &mut [f64],
-    stamp: &mut [u64],
+/// One decision's view of the [`LaneScratch`]: the stage-probability
+/// memo and the quality staging buffer.
+struct Memo<'a> {
+    stage_lat: &'a [Seconds],
+    probs: &'a mut [f64],
+    stamp: &'a mut [u64],
     generation: u64,
-    slot: usize,
-    xi: &Normal,
+    quality_buf: &'a mut [f64],
+    xi: &'a Normal,
     deadline: Seconds,
-) -> f64 {
-    if stamp[slot] != generation {
-        probs[slot] = crate::latency::deadline_probability(xi, stage_lat[slot], deadline);
-        stamp[slot] = generation;
+}
+
+impl Memo<'_> {
+    /// Lazily computed, per-decision-memoized stage-completion
+    /// probability (paper Eq. 6) for one arena slot.
+    fn prob(&mut self, slot: usize) -> f64 {
+        if self.stamp[slot] != self.generation {
+            self.probs[slot] =
+                crate::latency::deadline_probability(self.xi, self.stage_lat[slot], self.deadline);
+            self.stamp[slot] = self.generation;
+        }
+        self.probs[slot]
     }
-    probs[slot]
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //! adjustment), [`slowdown`] (ξ, Eq. 5), [`idle`] (φ, Eq. 8), [`latency`]
 //! (Eq. 6), [`quality`] (Eqs. 7/13), [`energy`] (Eqs. 9/12), [`select`]
 //! (Eqs. 1/2/10/11, the reference enumeration), [`lane`] (the
-//! selection-identical fast lane: SoA precomputation and a per-decision
-//! stage-probability memo), and [`alert`] (the feedback loop).
+//! selection-identical fast lane: SoA precomputation, a per-decision
+//! stage-probability memo and a valid-first search), and [`alert`] (the feedback loop).
 
 pub mod alert;
 pub mod config;

@@ -85,6 +85,38 @@ pub fn expected_quality_from_probs(
     expected
 }
 
+/// Relative slack of [`quality_ceiling`] over the largest quality
+/// magnitude; see there for the rounding bound it covers.
+const MIXTURE_ROUNDING_SLACK: f64 = 1e-9;
+
+/// An upper bound on every expected quality the stage prefix `stages`
+/// (stages `0..=target`) can yield, in either probability mode: the best
+/// reachable quality `q_cap = max(fail_quality, stages' qualities)` plus
+/// a rounding slack.
+///
+/// Mean-only estimates return one of those qualities verbatim. The
+/// Eq. 7/13 mixture of [`expected_quality_from_probs`] weighs them with
+/// `probs[k] − probs[k+1]` and `1 − probs[0]`: with every probability in
+/// `[0, 1]` and the clamp making them non-increasing, the weights are
+/// non-negative and sum to exactly 1 before rounding, so the exact
+/// mixture is at most `q_cap`. Each rounded weight, product and sum
+/// adds a relative error of at most `u = 2⁻⁵³`, so the computed mixture
+/// over `n` stages exceeds `q_cap` by at most about
+/// `(n + 2)·u·max|q|` — under `1e-13·max|q|` for any staircase of up to
+/// a thousand stages. The slack `1e-9·max|q|` covers it with orders of
+/// magnitude to spare. NaN qualities are ignored by `max`; a NaN
+/// anywhere in the mixture makes the estimate NaN, which no floor
+/// accepts.
+pub fn quality_ceiling(stages: &[StagePoint], fail_quality: f64) -> f64 {
+    let (q_cap, max_abs) = stages
+        .iter()
+        .map(|s| s.quality)
+        .fold((fail_quality, fail_quality.abs()), |(cap, abs), q| {
+            (cap.max(q), abs.max(q.abs()))
+        });
+    q_cap + MIXTURE_ROUNDING_SLACK * max_abs
+}
+
 /// The ALERT\* (mean-only) quality estimate: the staircase evaluated at
 /// the mean latency, with no probabilistic mixing.
 ///

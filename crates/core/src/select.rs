@@ -138,13 +138,19 @@ fn latency_ok(is_anytime: bool, stage: usize, e: &Estimates, goal: &Goal) -> boo
         }
         return true;
     }
-    if e.mean_latency.get() > goal.deadline.get() {
+    if mean_misses_deadline(e.mean_latency, goal) {
         return false;
     }
     if let Some(pr) = goal.prob_threshold {
         return e.pr_deadline >= pr;
     }
     true
+}
+
+/// The first test [`latency_ok`] makes of a traditional target: its mean
+/// predicted latency already overshoots the deadline.
+fn mean_misses_deadline(mean_latency: Seconds, goal: &Goal) -> bool {
+    mean_latency.get() > goal.deadline.get()
 }
 
 /// Safety margin on the quality floor, as a fraction of the candidate's
@@ -163,13 +169,62 @@ pub const QUALITY_GUARD_FRACTION: f64 = 0.015;
 /// candidate's model.
 fn other_ok(quality_guard: f64, e: &Estimates, goal: &Goal) -> bool {
     match goal.objective {
+        Objective::MinimizeEnergy => e.expected_quality >= guarded_floor(quality_guard, goal),
+        Objective::MinimizeError => within_budget(e.energy_bound, goal),
+    }
+}
+
+/// The least expected quality [`other_ok`] accepts under
+/// `MinimizeEnergy`: the floor raised by the candidate's guard.
+fn guarded_floor(quality_guard: f64, goal: &Goal) -> f64 {
+    // lint:allow(no-panic): Goal::validate requires min_quality for MinimizeEnergy; selection only runs on validated goals
+    let floor = goal.min_quality.expect("validated goal");
+    floor + quality_guard
+}
+
+/// The `MinimizeError` budget test of [`other_ok`], on the Eq. 12 bound.
+fn within_budget(energy_bound: Joules, goal: &Goal) -> bool {
+    // lint:allow(no-panic): Goal::validate requires energy_budget for MinimizeError; selection only runs on validated goals
+    energy_bound <= goal.energy_budget.expect("validated goal")
+}
+
+/// The fast lane's Φ-free admissibility test: `false` only when the
+/// target provably fails `latency_ok && other_ok`, so skipping it cannot
+/// change which valid target wins. It reads only estimates that need no
+/// normal CDF, and each clause reuses the exact expression the full test
+/// makes:
+///
+/// * a traditional target whose mean latency overshoots the deadline
+///   fails [`latency_ok`] ([`mean_misses_deadline`]);
+/// * under `MinimizeEnergy`, a target fails [`other_ok`] when even its
+///   `quality_ceiling` — an upper bound on any expected quality its
+///   staircase can produce ([`crate::quality::quality_ceiling`]) — lies
+///   below the [`guarded_floor`];
+/// * under `MinimizeError`, the budget test on the Eq. 12 bound is
+///   Φ-free already, so it is applied as is ([`within_budget`]); the
+///   bound is only computed when the latency test passed.
+///
+/// NaN operands never prove invalidity (every comparison is false), so
+/// such targets are scored in full.
+pub(crate) fn may_be_valid(
+    is_anytime: bool,
+    mean_latency: Seconds,
+    quality_ceiling: f64,
+    quality_guard: f64,
+    energy_bound: impl FnOnce() -> Joules,
+    goal: &Goal,
+) -> bool {
+    if !is_anytime && mean_misses_deadline(mean_latency, goal) {
+        return false;
+    }
+    match goal.objective {
         Objective::MinimizeEnergy => {
-            // lint:allow(no-panic): Goal::validate requires min_quality for MinimizeEnergy; selection only runs on validated goals
-            let floor = goal.min_quality.expect("validated goal");
-            e.expected_quality >= floor + quality_guard
+            // Negated `<` rather than `>=`: a NaN ceiling or floor must
+            // keep the target.
+            let below = quality_ceiling < guarded_floor(quality_guard, goal);
+            !below
         }
-        // lint:allow(no-panic): Goal::validate requires energy_budget for MinimizeError; selection only runs on validated goals
-        Objective::MinimizeError => e.energy_bound <= goal.energy_budget.expect("validated goal"),
+        Objective::MinimizeError => within_budget(energy_bound(), goal),
     }
 }
 
@@ -226,9 +281,12 @@ fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
 /// in table-enumeration order, the three competitions of §4 (valid /
 /// deadline-only / unconditional) advance in lockstep, and
 /// [`SelectionAccumulator::finish`] applies the fallback hierarchy.
-/// Sharing this one implementation, with the lane offering every
-/// candidate in the same order, is what makes "fast lane ≡ full
-/// enumeration" a structural property instead of a testing aspiration.
+/// The lane first offers only the targets that may be valid to the
+/// valid competition ([`SelectionAccumulator::consider_valid`]), in the
+/// same order, and offers every target to all three only when none was
+/// valid. Sharing this one implementation is what makes "fast lane ≡
+/// full enumeration" a structural property instead of a testing
+/// aspiration.
 pub(crate) struct SelectionAccumulator {
     best_valid: Option<(Candidate, Estimates)>,
     best_latency_only: Option<(Candidate, Estimates)>,
@@ -255,19 +313,8 @@ impl SelectionAccumulator {
         quality_guard: f64,
         goal: &Goal,
     ) {
-        let l_ok = latency_ok(is_anytime, c.stage, &e, goal);
-        let o_ok = other_ok(quality_guard, &e, goal);
-
-        if l_ok && o_ok {
-            let replace = match &self.best_valid {
-                None => true,
-                Some((_, cur)) => better(goal, &e, cur),
-            };
-            if replace {
-                self.best_valid = Some((c, e));
-            }
-        }
-        if l_ok {
+        self.consider_valid(c, e, is_anytime, quality_guard, goal);
+        if latency_ok(is_anytime, c.stage, &e, goal) {
             // Fallback 1 (constraints relaxed in priority order: the
             // non-latency constraint is dropped first; §4): maximize
             // quality among deadline-feasible targets, tie-break energy.
@@ -294,6 +341,35 @@ impl SelectionAccumulator {
         if replace {
             self.best_any = Some((c, e));
         }
+    }
+
+    /// Offers one candidate to the valid competition only: the fallback
+    /// competitions never see it. Equivalent to [`Self::consider`]
+    /// whenever some valid candidate exists, because `finish` then
+    /// ignores both fallbacks.
+    pub(crate) fn consider_valid(
+        &mut self,
+        c: Candidate,
+        e: Estimates,
+        is_anytime: bool,
+        quality_guard: f64,
+        goal: &Goal,
+    ) {
+        if !(latency_ok(is_anytime, c.stage, &e, goal) && other_ok(quality_guard, &e, goal)) {
+            return;
+        }
+        let replace = match &self.best_valid {
+            None => true,
+            Some((_, cur)) => better(goal, &e, cur),
+        };
+        if replace {
+            self.best_valid = Some((c, e));
+        }
+    }
+
+    /// Whether some offered candidate met every constraint.
+    pub(crate) fn has_valid(&self) -> bool {
+        self.best_valid.is_some()
     }
 
     /// Applies the §4 fallback hierarchy and produces the selection.

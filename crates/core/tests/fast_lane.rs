@@ -1,11 +1,13 @@
 //! Soundness proofs-by-property for the selection fast lane: the SoA,
-//! probability-memoized decision path must be **bit-identical** to the
-//! reference full enumeration for randomized tables, beliefs, goals,
-//! probability modes, group boundaries, and snapshot/restore cuts.
+//! probability-memoized, valid-first decision path must be
+//! **bit-identical** to the reference full enumeration for randomized
+//! tables, beliefs, goals, probability modes, group boundaries, and
+//! snapshot/restore cuts — in both of its phases (valid-first, and the
+//! §4 fallback when nothing is valid).
 
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::lane::{CandidateLane, LaneScratch};
-use alert_core::select::select_with_period;
+use alert_core::select::{select_with_period, QUALITY_GUARD_FRACTION};
 use alert_core::{CandidateModel, ConfigTable, Goal, ProbabilityMode, Selection, StagePoint};
 use alert_stats::normal::Normal;
 use alert_stats::units::{Joules, Seconds, Watts};
@@ -175,10 +177,233 @@ fn assert_bits_equal(fast: &Selection, full: &Selection, label: &str) {
     }
 }
 
+/// Runs one selection through the lane and the reference enumeration,
+/// asserts them bit-identical, and reports which phase decided: `true`
+/// when no target was valid and the §4 fallback walked every target.
+#[allow(clippy::too_many_arguments)]
+fn lane_vs_reference(
+    table: &ConfigTable,
+    lane: &CandidateLane,
+    scratch: &mut LaneScratch,
+    xi: &Normal,
+    idle: f64,
+    goal: &Goal,
+    period: Seconds,
+    mode: ProbabilityMode,
+    label: &str,
+) -> bool {
+    let fast = lane
+        .select_with_period(scratch, xi, idle, goal, period, mode)
+        .expect("valid goal");
+    let full = select_with_period(table, xi, idle, goal, period, mode).expect("valid goal");
+    assert_bits_equal(&fast, &full, label);
+    let fallback = !fast.feasible;
+    if fallback {
+        assert_eq!(
+            scratch.scored(),
+            lane.candidate_count(),
+            "{label}: fallback scores all"
+        );
+    } else {
+        assert!(
+            (1..=lane.candidate_count()).contains(&scratch.scored()),
+            "{label}: scored {}",
+            scratch.scored()
+        );
+    }
+    fallback
+}
+
+/// Phase counts over a batch of selections: (valid-first only,
+/// fallback).
+#[derive(Default)]
+struct Phases {
+    valid_first: usize,
+    fallback: usize,
+}
+
+impl Phases {
+    fn record(&mut self, fallback: bool) {
+        if fallback {
+            self.fallback += 1;
+        } else {
+            self.valid_first += 1;
+        }
+    }
+
+    fn assert_both(&self, what: &str) {
+        assert!(
+            self.valid_first > 0 && self.fallback > 0,
+            "{what}: both phases must be forced ({} valid-first, {} fallback)",
+            self.valid_first,
+            self.fallback
+        );
+    }
+}
+
+/// Two traditional models, one three-stage anytime, three caps.
+fn mixed_table(fail: f64) -> ConfigTable {
+    let models = vec![
+        CandidateModel::traditional("small", 0.86, 0.005),
+        CandidateModel::traditional("big", 0.95, fail),
+        CandidateModel::anytime(
+            "any",
+            vec![
+                StagePoint {
+                    frac: 0.3,
+                    quality: 0.84,
+                },
+                StagePoint {
+                    frac: 0.6,
+                    quality: 0.91,
+                },
+                StagePoint {
+                    frac: 1.0,
+                    quality: 0.94,
+                },
+            ],
+            0.005,
+        ),
+    ];
+    let powers = vec![Watts(20.0), Watts(35.0), Watts(45.0)];
+    let t_prof = vec![
+        vec![Seconds(0.040), Seconds(0.025), Seconds(0.020)],
+        vec![Seconds(0.200), Seconds(0.130), Seconds(0.100)],
+        vec![Seconds(0.240), Seconds(0.150), Seconds(0.120)],
+    ];
+    let p_run = vec![
+        vec![Watts(18.0), Watts(30.0), Watts(40.0)],
+        vec![Watts(19.0), Watts(33.0), Watts(42.0)],
+        vec![Watts(19.0), Watts(32.0), Watts(42.0)],
+    ];
+    ConfigTable::new(models, powers, t_prof, p_run).expect("valid table")
+}
+
+/// A goal grid that makes some decisions feasible and leaves others
+/// with nothing valid: deadlines from hopeless to generous, floors from
+/// easy to unreachable, budgets from empty to ample.
+fn goal_grid() -> Vec<Goal> {
+    let mut goals = Vec::new();
+    for deadline in [0.005, 0.03, 0.11, 0.3] {
+        let d = Seconds(deadline);
+        for floor in [0.5, 0.9, 0.93, 0.99] {
+            goals.push(Goal::minimize_energy(d, floor));
+        }
+        for budget in [1e-9, 0.5, 2.0, 20.0] {
+            goals.push(Goal::minimize_error(d, Joules(budget)));
+        }
+    }
+    goals
+}
+
+fn beliefs() -> [Normal; 4] {
+    [
+        Normal::new(1.0, 0.0),
+        Normal::new(1.0, 0.03),
+        Normal::new(1.4, 0.2),
+        Normal::new(0.7, 0.5),
+    ]
+}
+
+/// Runs `goals` × [`beliefs`] through [`lane_vs_reference`] on `table`.
+fn sweep(table: &ConfigTable, goals: &[Goal], mode: ProbabilityMode, what: &str) -> Phases {
+    let lane = CandidateLane::build(table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    let mut phases = Phases::default();
+    for (g, goal) in goals.iter().enumerate() {
+        for (b, xi) in beliefs().iter().enumerate() {
+            let label = format!("{what} goal {g} belief {b}");
+            phases.record(lane_vs_reference(
+                table,
+                &lane,
+                &mut scratch,
+                xi,
+                0.25,
+                goal,
+                goal.deadline,
+                mode,
+                &label,
+            ));
+        }
+    }
+    phases
+}
+
+#[test]
+fn nan_fail_quality_matches_reference_in_both_phases() {
+    // A NaN fail quality makes every expected quality of its model NaN
+    // (and its guard NaN), so no floor accepts it and its quality
+    // ceiling proves nothing; the lane must still agree everywhere.
+    let table = mixed_table(f64::NAN);
+    for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+        sweep(&table, &goal_grid(), mode, &format!("NaN fail {mode:?}")).assert_both("NaN fail");
+    }
+}
+
+#[test]
+fn budgets_excluding_every_target_take_the_fallback() {
+    let table = mixed_table(0.005);
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    for deadline in [0.005, 0.05, 0.3] {
+        // No target's Eq. 12 bound fits a nanojoule: phase 1 rules out
+        // everything without a single Φ call, and the fallback decides.
+        let goal = Goal::minimize_error(Seconds(deadline), Joules(1e-9));
+        for (b, xi) in beliefs().iter().enumerate() {
+            for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+                let label = format!("deadline {deadline} belief {b} {mode:?}");
+                let fallback = lane_vs_reference(
+                    &table,
+                    &lane,
+                    &mut scratch,
+                    xi,
+                    0.25,
+                    &goal,
+                    goal.deadline,
+                    mode,
+                    &label,
+                );
+                assert!(fallback, "{label}: no target fits the budget");
+            }
+        }
+    }
+}
+
+#[test]
+fn prob_threshold_goals_match_reference_in_both_phases() {
+    let table = mixed_table(0.005);
+    let mut goals = Vec::new();
+    for pr in [0.2, 0.5, 0.9, 0.999] {
+        goals.extend(goal_grid().into_iter().map(|g| g.with_prob_threshold(pr)));
+    }
+    sweep(&table, &goals, ProbabilityMode::Full, "Pr_th").assert_both("Pr_th");
+}
+
+#[test]
+fn mean_only_matches_reference_in_both_phases() {
+    let table = mixed_table(0.005);
+    sweep(&table, &goal_grid(), ProbabilityMode::MeanOnly, "MeanOnly").assert_both("MeanOnly");
+    // The Full sweep over the same grid forces both phases too.
+    sweep(&table, &goal_grid(), ProbabilityMode::Full, "Full").assert_both("Full");
+}
+
+/// `x` moved by `steps` units in the last place.
+fn ulps(x: f64, steps: i64) -> f64 {
+    let mut y = x;
+    for _ in 0..steps.unsigned_abs() {
+        y = if steps > 0 {
+            y.next_up()
+        } else {
+            y.next_down()
+        };
+    }
+    y
+}
+
 proptest! {
-    /// The lane (SoA + probability memo): for arbitrary tables and
-    /// decision inputs, it selects bit-identically to the reference
-    /// enumeration.
+    /// The lane (SoA + probability memo + valid-first search): for
+    /// arbitrary tables and decision inputs, it selects bit-identically
+    /// to the reference enumeration.
     #[test]
     fn lane_is_bit_identical_to_full_enumeration(
         raw in proptest::collection::vec(0.0f64..1.0, 64..96),
@@ -316,6 +541,53 @@ proptest! {
                 let full = select_with_period(&table, &xi, idle, &goal, goal.deadline, ProbabilityMode::Full)
                     .expect("valid goal");
                 assert_bits_equal(&fast, &full, &format!("deadline {deadline} {:?}", goal.objective));
+            }
+        }
+    }
+    /// Quality floors within a few ulps of a target's best reachable
+    /// quality: where the valid-first phase's quality test sits on its
+    /// boundary. Zero-variance beliefs with a generous deadline make
+    /// expected quality land *exactly* on a stage quality, so a ceiling
+    /// without its rounding slack, or a test off by one comparison,
+    /// would drop the one valid target.
+    #[test]
+    fn floors_at_quality_ceilings_match_reference(
+        raw in proptest::collection::vec(0.0f64..1.0, 64..96),
+    ) {
+        let mut pool = Pool::new(raw);
+        let table = random_table(&mut pool);
+        let lane = CandidateLane::build(&table);
+        let mut scratch = LaneScratch::for_lane(&lane);
+        let idle = pool.range(0.0, 1.0);
+        let stochastic = random_belief(&mut pool);
+        for (m, model) in table.models().iter().enumerate() {
+            let guard = QUALITY_GUARD_FRACTION * (model.final_quality() - model.fail_quality);
+            for k in 0..model.stages.len() {
+                let q_cap = model.stages[..=k]
+                    .iter()
+                    .map(|s| s.quality)
+                    .fold(model.fail_quality, f64::max);
+                for step in -3..=3 {
+                    let floor = ulps(q_cap - guard, step);
+                    for deadline in [1e3, 0.05] {
+                        let goal = Goal::minimize_energy(Seconds(deadline), floor);
+                        for xi in [Normal::new(1.0, 0.0), stochastic] {
+                            for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+                                lane_vs_reference(
+                                    &table,
+                                    &lane,
+                                    &mut scratch,
+                                    &xi,
+                                    idle,
+                                    &goal,
+                                    goal.deadline,
+                                    mode,
+                                    &format!("model {m} stage {k} step {step} deadline {deadline} {mode:?}"),
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

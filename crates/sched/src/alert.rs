@@ -444,6 +444,61 @@ mod tests {
         assert_eq!(table.candidate_count(), 9 * 15);
     }
 
+    /// The valid-first lane on the paper's CPU1 × image table: a
+    /// feasible decision at the 0.9 floor scores only the targets that
+    /// can reach the guarded floor (the `resnet_8/14/26` caps and the
+    /// first two anytime stages cannot), and a decision with nothing
+    /// valid takes the fallback over all 135 and still matches the
+    /// reference enumeration.
+    #[test]
+    fn valid_first_lane_on_the_image_table() {
+        use alert_core::lane::{CandidateLane, LaneScratch};
+        use alert_core::select::select_with_period;
+        use alert_core::{Goal, ProbabilityMode};
+        use alert_stats::normal::Normal;
+
+        let (table, _) =
+            build_table(&ModelFamily::image_classification(), &Platform::cpu1()).unwrap();
+        let lane = CandidateLane::build(&table);
+        assert_eq!(lane.candidate_count(), 135);
+        let mut scratch = LaneScratch::for_lane(&lane);
+        let xi = Normal::new(1.0, 0.05);
+        let mode = ProbabilityMode::Full;
+
+        let feasible = Goal::minimize_energy(Seconds(0.35), 0.9);
+        let fast = lane
+            .select_with_period(&mut scratch, &xi, 0.2, &feasible, feasible.deadline, mode)
+            .unwrap();
+        let full =
+            select_with_period(&table, &xi, 0.2, &feasible, feasible.deadline, mode).unwrap();
+        assert_eq!(fast, full);
+        assert!(fast.feasible);
+        assert!(
+            scratch.scored() < 135,
+            "a feasible decision scored {} of 135 targets",
+            scratch.scored()
+        );
+
+        // A 20 ms deadline leaves only the first anytime stage on time,
+        // and its quality is far below the floor: nothing is valid.
+        let infeasible = Goal::minimize_energy(Seconds(0.02), 0.9);
+        let fast = lane
+            .select_with_period(
+                &mut scratch,
+                &xi,
+                0.2,
+                &infeasible,
+                infeasible.deadline,
+                mode,
+            )
+            .unwrap();
+        let full =
+            select_with_period(&table, &xi, 0.2, &infeasible, infeasible.deadline, mode).unwrap();
+        assert_eq!(fast, full);
+        assert!(!fast.feasible);
+        assert_eq!(scratch.scored(), 135);
+    }
+
     #[test]
     fn embedded_filters_oversized_models() {
         let family = ModelFamily::sentence_prediction();

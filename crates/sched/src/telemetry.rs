@@ -239,6 +239,7 @@ impl EventSink for MetricsCollector {
                 if !d.trace.feasible {
                     reg.counter_add("infeasible_decisions", Scope::Global, 1);
                 }
+                reg.counter_add("targets_scored", Scope::Global, d.trace.scored as u64);
                 reg.histogram_observe("decision_cost_s", Scope::Global, d.trace.cost.get());
                 reg.gauge_set("belief_mean", scope, d.post_mean);
                 reg.gauge_set("belief_std", scope, d.post_std);
@@ -515,6 +516,7 @@ mod tests {
                 idle_ratio: 0.3,
                 effective_deadline: Seconds(0.4),
                 candidates: 12,
+                scored: 5,
                 selected: Candidate {
                     device: 0,
                     model: 1,

@@ -24,6 +24,18 @@ pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 /// √2.
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
 
+/// The `|x|` from which `erf(x)` is exactly `±1.0` in double precision.
+///
+/// `erfc` is decreasing and `erfc(6) ≈ 2.15e-17`, below `2⁻⁵⁴ ≈ 5.55e-17`
+/// — half the spacing of doubles just below 1.0 — so `1.0 − erfc(|x|)`
+/// rounds to exactly 1.0 for every `|x| ≥ 6`, and the shortcut returns
+/// the very bits the full evaluation would (the unit test
+/// `erf_saturates_exactly_from_six` sweeps the computed `erfc_abs` over
+/// `[6, 26.5]`, beyond which it is 0.0 anyway). Φ's upper tail lands
+/// here: `Φ(z) = ½·erfc(−z/√2)` evaluates `erf` for `z ≥ 6√2 ≈ 8.5`,
+/// a deadline many standard deviations away.
+const ERF_SATURATION: f64 = 6.0;
+
 /// The error function `erf(x)`.
 ///
 /// Uses the rational Chebyshev approximation from W. J. Cody (1969) with
@@ -61,6 +73,10 @@ pub fn erf(x: f64) -> f64 {
         let num = ((((P[4] * z + P[3]) * z + P[2]) * z + P[1]) * z) + P[0];
         let den = ((((z + Q[3]) * z + Q[2]) * z + Q[1]) * z) + Q[0];
         x * num / den
+    } else if ax >= ERF_SATURATION {
+        // `1 − erfc(|x|)` rounds to exactly 1.0 here (see
+        // `ERF_SATURATION`), so skip the `exp` and the rational.
+        1.0_f64.copysign(x)
     } else {
         let ec = erfc_abs(ax);
         let v = 1.0 - ec;
@@ -369,6 +385,24 @@ impl Normal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn erf_saturates_exactly_from_six() {
+        // Dense sweep of the saturated range: the full evaluation rounds
+        // to exactly 1.0 at every point, so the shortcut changes no bit.
+        let n = 2_000_000;
+        let (lo, hi) = (ERF_SATURATION, 26.5);
+        for i in 0..=n {
+            let x = lo + (hi - lo) * (i as f64 / n as f64);
+            assert_eq!(1.0 - erfc_abs(x), 1.0, "x = {x}");
+            assert_eq!(erf(x), 1.0);
+            assert_eq!(erf(-x), -1.0);
+        }
+        // The analytic bound the shortcut rests on.
+        assert!(erfc_abs(ERF_SATURATION) < 2f64.powi(-54));
+        assert_eq!(erf(f64::INFINITY), 1.0);
+        assert_eq!(erf(f64::NEG_INFINITY), -1.0);
+    }
 
     #[test]
     fn erf_reference_values() {

@@ -369,6 +369,7 @@ fn cap_storm_miss_is_explainable_from_the_flight_recorder() {
     assert!(entry.event.trace.belief_std >= 0.0);
     // ...candidates considered...
     assert!(entry.event.trace.candidates > 0);
+    assert!((1..=entry.event.trace.candidates).contains(&entry.event.trace.scored));
     // ...the selected configuration with its prediction...
     assert!(entry.event.trace.estimates.mean_latency.get() > 0.0);
     // ...and the realized outcome, bitwise equal to the episode record.
